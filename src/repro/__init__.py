@@ -23,7 +23,7 @@ organised as:
 * :mod:`repro.experiments` — runners and builders for every table and figure.
 * :mod:`repro.api` — estimator-style facade (``OpenWorldClassifier``) with
   versioned save/load checkpoints and resumable training.
-* :mod:`repro.analysis` — invariant linter (``repro lint``, rules R1-R9)
+* :mod:`repro.analysis` — invariant linter (``repro lint``, rules R1-R8)
   and opt-in runtime sanitizers (``REPRO_SANITIZE=1``) for the
   concurrency/determinism/cache contracts.
 

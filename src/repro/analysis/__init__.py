@@ -5,7 +5,7 @@ rule engine checking the contracts PRs 1-7 established by hand — seeded RNG
 flow, lock-guarded attributes, frozen cached arrays, Parameter version
 bumps, serializable configs, wall-clock hygiene, exception discipline, and
 method-registry completeness.  See :mod:`repro.analysis.rules` for the
-rules (R1-R9) and :mod:`repro.analysis.framework` for the engine.
+rules (R1-R8) and :mod:`repro.analysis.framework` for the engine.
 
 Runtime half (``REPRO_SANITIZE=1`` or ``pytest --sanitize``): monkeypatch
 sanitizers that catch what the AST cannot — actual lock-order inversions,
@@ -37,7 +37,7 @@ from .sanitizers import (
     uninstall,
 )
 
-# Importing rules registers R1-R9 into DEFAULT_RULES as a side effect.
+# Importing rules registers R1-R8 into DEFAULT_RULES as a side effect.
 from . import rules  # registration side effect (F401-exempt in __init__)
 
 __all__ = [

@@ -18,7 +18,7 @@ from .framework import DEFAULT_EXCLUDES, DEFAULT_RULES, Analyzer
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Check repo invariants (rules R1-R9) over python sources.")
+        description="Check repo invariants (rules R1-R8) over python sources.")
     add_lint_options(parser)
     return parser
 

@@ -1,4 +1,4 @@
-"""The built-in invariant rules (R1-R9).
+"""The built-in invariant rules (R1-R8).
 
 Each rule encodes one contract established by PRs 1-7 and names, in
 ``contract``, the bug or design decision that motivated it.  Rules are
@@ -563,92 +563,3 @@ class RegistryCompletenessRule(Rule):
                 f"trainer class '{node.name}' in a baselines module is not "
                 f"registered with @register_method; it is unreachable from "
                 f"the CLI, the runner, and checkpoints")
-
-
-@register_rule
-class PicklableWorkerRule(Rule):
-    """R9: pool workers must be module-level functions.
-
-    A lambda or a function nested inside another function does not pickle,
-    so passing one to a process-pool ``map``/``submit`` either raises
-    ``PicklingError`` at dispatch or — through
-    :class:`repro.parallel.ParallelExecutor`'s crash recovery — silently
-    degrades the whole call to the serial fallback.  The rule flags any
-    lambda, and any name bound by a nested ``def``, used as the worker
-    argument of ``.map``/``.submit`` on a receiver whose name looks like a
-    pool (``*executor`` / ``*pool``, any casing).
-    """
-
-    id = "R9"
-    name = "picklable-pool-worker"
-    description = ("the worker passed to <executor|pool>.map/.submit must be "
-                   "a module-level function, not a lambda or a nested def "
-                   "(they do not pickle to process pools)")
-    contract = ("PR 10 parallel layer: ParallelExecutor rejects closure "
-                "workers up front on the processes backend; every shipped "
-                "worker lives in repro.parallel.workers")
-
-    _METHODS = frozenset({"map", "submit"})
-
-    @staticmethod
-    def _receiver_name(node: ast.AST) -> str:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Call):
-            return PicklableWorkerRule._receiver_name(node.func)
-        return ""
-
-    def _is_pool_call(self, node: ast.Call) -> bool:
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._METHODS):
-            return False
-        receiver = self._receiver_name(node.func.value).lower()
-        return receiver.endswith(("executor", "pool"))
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # Lambdas are never module-level-named: flag them anywhere.
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
-                    and self._is_pool_call(node) and node.args):
-                continue
-            worker = node.args[0]
-            if isinstance(worker, ast.Lambda):
-                yield self.finding(
-                    ctx, worker,
-                    f"lambda passed to "
-                    f"'{self._receiver_name(node.func.value)}."
-                    f"{node.func.attr}' cannot pickle to a process "
-                    f"pool; move the worker to module level")
-        # A name only violates when it is bound by a *nested* def; walk each
-        # top-level function scope once so inner scopes are not re-reported.
-        top_level_functions = [
-            node for node in ast.iter_child_nodes(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ] + [
-            item
-            for node in ast.iter_child_nodes(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-            for item in ast.walk(node)
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in top_level_functions:
-            nested = {inner.name for inner in ast.walk(func)
-                      if isinstance(inner, (ast.FunctionDef,
-                                            ast.AsyncFunctionDef))
-                      and inner is not func}
-            if not nested:
-                continue
-            for node in ast.walk(func):
-                if not (isinstance(node, ast.Call)
-                        and self._is_pool_call(node) and node.args):
-                    continue
-                worker = node.args[0]
-                if isinstance(worker, ast.Name) and worker.id in nested:
-                    yield self.finding(
-                        ctx, worker,
-                        f"nested function '{worker.id}' passed to "
-                        f"'{self._receiver_name(node.func.value)}."
-                        f"{node.func.attr}' cannot pickle to a process "
-                        f"pool; move the worker to module level")

@@ -10,8 +10,6 @@ Each module provokes exactly one runtime sanitizer:
   (:class:`~repro.analysis.sanitizers.WriteAfterFreezeError`).
 * :mod:`.global_rng` — draws from numpy's global RNG inside the ``repro``
   namespace (:class:`~repro.analysis.sanitizers.GlobalRNGViolation`).
-* :mod:`.parallel_closure` — hands a closure worker to a pool executor
-  (static rule R9; ``ValueError`` at dispatch on the processes backend).
 
 The package is excluded from ``repro lint`` by default
 (:data:`repro.analysis.framework.DEFAULT_EXCLUDES`) precisely because the
@@ -22,12 +20,10 @@ and the findings.  Never import these helpers from production code.
 from .frozen import provoke_store_input_freeze, provoke_write_after_freeze
 from .global_rng import provoke_global_rng
 from .lock_order import provoke_lock_order_inversion
-from .parallel_closure import provoke_closure_worker
 
 __all__ = [
     "provoke_lock_order_inversion",
     "provoke_write_after_freeze",
     "provoke_store_input_freeze",
     "provoke_global_rng",
-    "provoke_closure_worker",
 ]

@@ -157,6 +157,20 @@ def _rebuild_dataset(manifest: dict, path) -> OpenWorldDataset:
     return load_open_world_dataset(**args)
 
 
+def _drop_retired_config_keys(config: dict) -> dict:
+    """``config`` without the trainer section's retired ``parallel`` key.
+
+    Checkpoints written before the multi-core execution layer was removed
+    carry ``parallel`` settings in their trainer config (top level for
+    baselines, under ``trainer`` for OpenIMA).  They never changed results,
+    so the key is dropped here and ``from_dict`` stays strict for every
+    other field.
+    """
+    trainer = config.get("trainer", config)
+    trainer.pop("parallel", None)
+    return config
+
+
 def load_trainer_checkpoint(
     path,
     dataset: Optional[OpenWorldDataset] = None,
@@ -176,7 +190,8 @@ def load_trainer_checkpoint(
 
     method = manifest["method"]
     spec = METHODS.get(method)
-    config = spec.config_cls.from_dict(manifest["config"])
+    config = spec.config_cls.from_dict(
+        _drop_retired_config_keys(manifest["config"]))
     # Methods with a custom builder carry num_novel_classes inside their own
     # config; passing it again would mutate the config away from what was
     # saved.  The label-space check below still catches dataset drift.

@@ -109,19 +109,6 @@ def _add_training_options(parser: argparse.ArgumentParser) -> None:
                              "subgraph (khop), or fanout-capped expansion "
                              "(sampled); fine-tune with --set "
                              "sampling.fanouts=[10,10] etc. (default: full)")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="worker count for the parallel execution layer "
-                             "(repro.parallel): clustering assignment and "
-                             "layer-wise inference chunks on run/stream, plus "
-                             "the method x seed grid on table/figure "
-                             "commands; 0 = all cores, 1 = serial "
-                             "(default: 1); results are bit-identical to "
-                             "serial at any setting")
-    parser.add_argument("--parallel-backend",
-                        choices=("serial", "threads", "processes"),
-                        default="processes",
-                        help="pool backend used when --n-jobs != 1 "
-                             "(default: processes)")
     parser.add_argument("--output", type=str, default=None,
                         help="optional path for a JSON copy of the results")
 
@@ -133,6 +120,11 @@ def _add_experiment_subparser(subparsers, name: str, help_text: str) -> None:
                         help="training epochs for end-to-end methods (default: 3x --epochs)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="split seeds to average over (default: 0)")
+    parser.add_argument("--n-jobs", type=int, default=1,
+                        help="threads training the table/figure grid's "
+                             "(method, dataset, seed) cells concurrently; "
+                             "0 = all usable cores, 1 = serial (default: 1); "
+                             "results equal the serial run's")
     parser.set_defaults(handler=_handle_experiment)
 
 
@@ -318,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     from ..analysis.cli import add_lint_options
 
     lint = subparsers.add_parser(
-        "lint", help="check the repo's invariant rules (R1-R9) over python "
+        "lint", help="check the repo's invariant rules (R1-R8) over python "
                      "sources; exits 1 on findings")
     add_lint_options(lint)
     lint.set_defaults(handler=_handle_lint)
@@ -343,23 +335,7 @@ def experiment_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         eval_every=args.eval_every,
         sampling_mode=args.sampling_mode,
         n_jobs=args.n_jobs,
-        parallel_backend=args.parallel_backend,
     )
-
-
-def parallel_config_from_args(args: argparse.Namespace):
-    """Translate ``--n-jobs`` / ``--parallel-backend`` into a ParallelConfig.
-
-    ``--n-jobs 1`` (the default) stays on the serial backend so default runs
-    never touch a pool; any other value enables the requested backend.  The
-    executor's ordered per-item-seeded reduction keeps results bit-identical
-    either way.
-    """
-    from ..core.config import ParallelConfig
-
-    if int(args.n_jobs) == 1:
-        return ParallelConfig()
-    return ParallelConfig(backend=args.parallel_backend, n_jobs=args.n_jobs)
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +400,6 @@ def _handle_run(args: argparse.Namespace) -> dict:
         encoder_kind=args.encoder, batch_size=args.batch_size,
         backend=args.backend, eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
-        parallel=parallel_config_from_args(args),
     )
 
     overrides = parse_set_overrides(args.overrides)
@@ -644,7 +619,6 @@ def _handle_stream(args: argparse.Namespace) -> dict:
         backend=args.backend, eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
         clustering=clustering,
-        parallel=parallel_config_from_args(args),
     )
     overrides = parse_set_overrides(args.overrides)
     if spec.config_cls is OpenIMAConfig:

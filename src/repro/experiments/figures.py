@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from .reporting import format_table, percent
-from .runner import ExperimentConfig, run_method
+from .runner import ExperimentConfig, run_grid
 
 #: The four representation-learning settings compared in Figure 1b.
 FIGURE1B_METHODS = ("infonce", "infonce+supcon", "infonce+supcon+ce", "openima")
@@ -29,8 +29,9 @@ def build_figure1b(experiment: Optional[ExperimentConfig] = None,
     experiment = experiment if experiment is not None else ExperimentConfig()
     rows = []
     results: Dict[str, dict] = {}
-    for method in methods:
-        aggregated = run_method(method, dataset_name, experiment)
+    runs = run_grid([(method, dataset_name, {}) for method in methods],
+                    experiment)
+    for method, aggregated in zip(methods, runs):
         results[method] = {
             "imbalance_rate": aggregated.imbalance_rate,
             "separation_rate": aggregated.separation_rate,
@@ -62,24 +63,22 @@ def build_figure2(experiment: Optional[ExperimentConfig] = None,
     Returns seen/novel accuracy series for each dataset as eta and rho vary.
     """
     experiment = experiment if experiment is not None else ExperimentConfig()
+    settings = [("eta", eta) for eta in etas] + [("rho", rho) for rho in rhos]
+    grid = iter(run_grid(
+        [("openima", dataset_name, {"openima_overrides": {name: value}})
+         for dataset_name in datasets for name, value in settings],
+        experiment,
+    ))
     eta_series: Dict[str, list] = {}
     rho_series: Dict[str, list] = {}
     for dataset_name in datasets:
         eta_series[dataset_name] = []
-        for eta in etas:
-            aggregated = run_method("openima", dataset_name, experiment,
-                                    openima_overrides={"eta": eta})
-            eta_series[dataset_name].append({
-                "eta": eta,
-                "seen": aggregated.accuracy.seen,
-                "novel": aggregated.accuracy.novel,
-            })
         rho_series[dataset_name] = []
-        for rho in rhos:
-            aggregated = run_method("openima", dataset_name, experiment,
-                                    openima_overrides={"rho": rho})
-            rho_series[dataset_name].append({
-                "rho": rho,
+        for name, value in settings:
+            aggregated = next(grid)
+            series = eta_series if name == "eta" else rho_series
+            series[dataset_name].append({
+                name: value,
                 "seen": aggregated.accuracy.seen,
                 "novel": aggregated.accuracy.novel,
             })

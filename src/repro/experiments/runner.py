@@ -9,14 +9,14 @@ and the SC&ACC analysis.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import (
-    PARALLEL_BACKENDS,
-    ParallelConfig,
     SamplingConfig,
     SerializableConfig,
     TrainerConfig,
@@ -117,11 +117,9 @@ class ExperimentConfig(SerializableConfig):
     (``full`` / ``khop`` / ``sampled``, see
     :class:`repro.core.config.SamplingConfig`).
 
-    ``n_jobs`` > 1 runs the method x dataset x seed grid cells through a
-    :class:`repro.parallel.ParallelExecutor` on ``parallel_backend``
-    (default ``processes``).  Each cell is seeded entirely by its own
-    ``(method, dataset, seed)``, so cells are independent and the grid
-    result is bit-identical to the serial loop in any backend.
+    ``n_jobs`` threads train the method x dataset x seed grid cells
+    concurrently (``0`` = all usable cores, ``1`` = serial); the results
+    equal the serial loop's.
     """
 
     scale: float = 0.35
@@ -135,16 +133,11 @@ class ExperimentConfig(SerializableConfig):
     eval_every: int = 0
     sampling_mode: str = "full"
     n_jobs: int = 1
-    parallel_backend: str = "processes"
 
     def __post_init__(self) -> None:
         # JSON round-trips turn the seeds tuple into a list; normalise so
         # from_json(to_json(cfg)) == cfg holds in the serialization matrix.
         self.seeds = tuple(int(seed) for seed in self.seeds)
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}")
         if int(self.n_jobs) < 0:
             raise ValueError(
                 f"n_jobs must be >= 0 (0 = all cores), got {self.n_jobs}")
@@ -244,13 +237,12 @@ def run_grid_cell(
     experiment: ExperimentConfig,
     num_novel_classes: Optional[int] = None,
     openima_overrides: Optional[dict] = None,
+    trainer_config: Optional[TrainerConfig] = None,
 ) -> RunResult:
     """Train and evaluate one (method, dataset, seed) grid cell.
 
-    The unit of work for both the serial loop and the parallel grid
-    (:func:`repro.parallel.workers.run_experiment_cell`); keeping it
-    module-level means the process-pool path and the in-process path run
-    the same code, cell for cell.
+    ``trainer_config`` replaces ``experiment.trainer_config(seed, method)``
+    for sweeps over training settings (Table VII's learning rates).
     """
     dataset = load_open_world_dataset(
         dataset_name,
@@ -258,7 +250,8 @@ def run_grid_cell(
         scale=experiment.scale,
         labels_per_class=experiment.labels_per_class,
     )
-    trainer_config = experiment.trainer_config(seed, method=method)
+    if trainer_config is None:
+        trainer_config = experiment.trainer_config(seed, method=method)
     trainer = build_method(
         method, dataset, trainer_config,
         num_novel_classes=num_novel_classes,
@@ -268,31 +261,57 @@ def run_grid_cell(
     return evaluate_trainer(trainer, dataset, method, seed)
 
 
-def _run_cells(
-    cells: List[tuple],
-    experiment: ExperimentConfig,
-) -> List[RunResult]:
-    """Ordered cell results, dispatched in parallel when ``n_jobs`` > 1.
+def _usable_cores() -> int:
+    """CPU cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``cells`` are ``(method, dataset_name, seed)`` triples.  Every random
-    draw in a cell flows from generators keyed on its own seed, so the
-    ordered parallel reduction returns exactly what the serial loop would.
+
+def _run_cells(cells: Sequence[dict],
+               experiment: ExperimentConfig) -> List[RunResult]:
+    """``run_grid_cell(**cell, experiment=experiment)`` for each cell, in order.
+
+    With ``experiment.n_jobs`` != 1 the cells run on a thread pool.  Every
+    random draw in a cell comes from generators keyed on its own seed, and
+    the autodiff grad flag is per-thread, so the results equal the serial
+    loop's.  The first failing cell's exception propagates unchanged and
+    queued cells are cancelled rather than run.
     """
-    if int(experiment.n_jobs) == 1 or len(cells) <= 1:
-        return [
-            run_grid_cell(method, dataset_name, seed, experiment)
-            for method, dataset_name, seed in cells
-        ]
-    from ..parallel import ParallelExecutor
-    from ..parallel.workers import run_experiment_cell
+    def run(cell: dict) -> RunResult:
+        return run_grid_cell(experiment=experiment, **cell)
 
-    executor = ParallelExecutor(ParallelConfig(
-        backend=experiment.parallel_backend, n_jobs=experiment.n_jobs,
-        chunk_size=1))
-    experiment_dict = experiment.to_dict()
-    items = [(method, dataset_name, seed, experiment_dict, None, None)
-             for method, dataset_name, seed in cells]
-    return executor.map(run_experiment_cell, items, label="experiments.grid")
+    workers = min(int(experiment.n_jobs) or _usable_cores(), len(cells))
+    if workers <= 1:
+        return [run(cell) for cell in cells]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(run, cells))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_grid(
+    runs: Sequence[Tuple[str, str, dict]],
+    experiment: ExperimentConfig,
+) -> List[AggregatedResult]:
+    """Every ``(method, dataset_name, cell_options)`` over every seed.
+
+    All cells of the grid go to :func:`_run_cells` in one dispatch, so long
+    and short runs interleave across workers.  ``cell_options`` are extra
+    :func:`run_grid_cell` arguments (``num_novel_classes``,
+    ``openima_overrides``, ``trainer_config``).
+    """
+    cells = [dict(method=method, dataset_name=dataset_name, seed=seed,
+                  **options)
+             for method, dataset_name, options in runs
+             for seed in experiment.seeds]
+    results = iter(_run_cells(cells, experiment))
+    return [
+        AggregatedResult(method=method, dataset=dataset_name,
+                         runs=[next(results) for _ in experiment.seeds])
+        for method, dataset_name, _ in runs
+    ]
 
 
 def run_method(
@@ -303,19 +322,9 @@ def run_method(
     openima_overrides: Optional[dict] = None,
 ) -> AggregatedResult:
     """Train ``method`` on ``dataset_name`` for every configured seed."""
-    aggregated = AggregatedResult(method=method, dataset=dataset_name)
-    if (num_novel_classes is None and openima_overrides is None
-            and int(experiment.n_jobs) != 1):
-        cells = [(method, dataset_name, seed) for seed in experiment.seeds]
-        aggregated.runs.extend(_run_cells(cells, experiment))
-        return aggregated
-    for seed in experiment.seeds:
-        aggregated.runs.append(run_grid_cell(
-            method, dataset_name, seed, experiment,
-            num_novel_classes=num_novel_classes,
-            openima_overrides=openima_overrides,
-        ))
-    return aggregated
+    options = dict(num_novel_classes=num_novel_classes,
+                   openima_overrides=openima_overrides)
+    return run_grid([(method, dataset_name, options)], experiment)[0]
 
 
 def run_methods(
@@ -324,25 +333,8 @@ def run_methods(
     experiment: ExperimentConfig,
     num_novel_classes: Optional[int] = None,
 ) -> Dict[str, AggregatedResult]:
-    """Run several methods on the same dataset profile.
-
-    With ``experiment.n_jobs`` != 1 the whole method x seed grid is
-    flattened into one parallel dispatch, so long and short methods
-    interleave across workers instead of serializing per method.
-    """
-    if num_novel_classes is None and int(experiment.n_jobs) != 1:
-        cells = [(method, dataset_name, seed)
-                 for method in methods for seed in experiment.seeds]
-        results = _run_cells(cells, experiment)
-        grouped: Dict[str, AggregatedResult] = {
-            method: AggregatedResult(method=method, dataset=dataset_name)
-            for method in methods
-        }
-        for (method, _, _), run in zip(cells, results):
-            grouped[method].runs.append(run)
-        return grouped
-    return {
-        method: run_method(method, dataset_name, experiment,
-                           num_novel_classes=num_novel_classes)
-        for method in methods
-    }
+    """Run several methods on the same dataset profile."""
+    options = dict(num_novel_classes=num_novel_classes)
+    results = run_grid([(method, dataset_name, options) for method in methods],
+                       experiment)
+    return dict(zip(methods, results))

@@ -9,13 +9,12 @@ against the paper's published numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import OpenIMAConfig
-from ..core.openima import OpenIMATrainer
+from ..core.config import OptimizerConfig
 from ..datasets.synthetic import dataset_statistics, load_open_world_dataset
 from ..metrics.selection import (
     CandidateScore,
@@ -26,8 +25,7 @@ from .reporting import format_accuracy_table, format_table, percent
 from .runner import (
     AggregatedResult,
     ExperimentConfig,
-    build_method,
-    evaluate_trainer,
+    run_grid,
     run_method,
 )
 
@@ -95,11 +93,11 @@ def build_accuracy_table(
     title: str,
 ) -> dict:
     """Generic accuracy-grid builder shared by Tables III, IV, and VI."""
+    runs = run_grid([(method, dataset, {}) for method in methods
+                     for dataset in datasets], experiment)
     results: Dict[str, Dict[str, AggregatedResult]] = {}
-    for method in methods:
-        results[method] = {}
-        for dataset in datasets:
-            results[method][dataset] = run_method(method, dataset, experiment)
+    for run in runs:
+        results.setdefault(run.method, {})[run.dataset] = run
     report = format_accuracy_table(results, datasets, title=title)
     return {"results": results, "report": report}
 
@@ -143,7 +141,7 @@ def build_table5(experiment: Optional[ExperimentConfig] = None,
                  variants=TABLE5_VARIANTS) -> dict:
     """Table V: ablation of L_BPCL^emb, L_BPCL^logit, L_CE, and pseudo labels."""
     experiment = experiment if experiment is not None else ExperimentConfig()
-    results: Dict[str, Dict[str, AggregatedResult]] = {}
+    labels, runs = [], []
     for label, use_emb, use_logit, use_ce, use_pl in variants:
         if not (use_emb or use_logit) and not use_ce:
             continue
@@ -158,11 +156,13 @@ def build_table5(experiment: Optional[ExperimentConfig] = None,
         if not use_emb and not use_logit:
             overrides["use_embedding_bpcl"] = False
             overrides["use_logit_bpcl"] = False
-        results[label] = {}
-        for dataset in datasets:
-            results[label][dataset] = run_method(
-                "openima", dataset, experiment, openima_overrides=overrides
-            )
+        labels.append(label)
+        runs.extend(("openima", dataset, {"openima_overrides": overrides})
+                    for dataset in datasets)
+    grid = iter(run_grid(runs, experiment))
+    results: Dict[str, Dict[str, AggregatedResult]] = {
+        label: {dataset: next(grid) for dataset in datasets} for label in labels
+    }
     rows = []
     for label, per_dataset in results.items():
         row = [label]
@@ -189,7 +189,6 @@ def build_table6(experiment: Optional[ExperimentConfig] = None,
     describes, then passed to every method.
     """
     experiment = experiment if experiment is not None else ExperimentConfig()
-    results: Dict[str, Dict[str, AggregatedResult]] = {m: {} for m in methods}
     estimates: Dict[str, int] = {}
     for dataset_name in datasets:
         probe = load_open_world_dataset(dataset_name, seed=experiment.seeds[0],
@@ -202,10 +201,13 @@ def build_table6(experiment: Optional[ExperimentConfig] = None,
             seed=experiment.seeds[0],
         )
         estimates[dataset_name] = estimate
-        for method in methods:
-            results[method][dataset_name] = run_method(
-                method, dataset_name, experiment, num_novel_classes=estimate
-            )
+    runs = run_grid([(method, dataset_name,
+                      {"num_novel_classes": estimates[dataset_name]})
+                     for method in methods for dataset_name in datasets],
+                    experiment)
+    results: Dict[str, Dict[str, AggregatedResult]] = {m: {} for m in methods}
+    for run in runs:
+        results[run.method][run.dataset] = run
     report = format_accuracy_table(
         results, datasets,
         title="Table VI: evaluation with estimated number of novel classes (test accuracy %)",
@@ -244,21 +246,23 @@ def build_table7(experiment: Optional[ExperimentConfig] = None,
     """
     experiment = experiment if experiment is not None else ExperimentConfig()
     seed = experiment.seeds[0]
+    base_config = experiment.trainer_config(seed)
+    trainer_configs = [
+        base_config.with_updates(optimizer=OptimizerConfig(
+            learning_rate=lr, weight_decay=1e-4))
+        for lr in learning_rates
+    ]
+    grid = iter(run_grid(
+        [(method, dataset_name, {"trainer_config": trainer_config})
+         for method in methods for trainer_config in trainer_configs],
+        replace(experiment, seeds=(seed,)),
+    ))
     outcomes: Dict[str, Dict[str, SelectionOutcome]] = {}
     for method in methods:
         candidates: list[CandidateScore] = []
         evaluations = {}
         for lr in learning_rates:
-            dataset = load_open_world_dataset(dataset_name, seed=seed, scale=experiment.scale,
-                                              labels_per_class=experiment.labels_per_class)
-            trainer_config = experiment.trainer_config(seed).with_updates(
-                optimizer=experiment.trainer_config(seed).optimizer.__class__(
-                    learning_rate=lr, weight_decay=1e-4
-                )
-            )
-            trainer = build_method(method, dataset, trainer_config)
-            trainer.fit()
-            run = evaluate_trainer(trainer, dataset, method, seed)
+            run = next(grid).runs[0]
             name = f"lr={lr}"
             candidates.append(CandidateScore(
                 name=name,

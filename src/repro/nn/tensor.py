@@ -31,10 +31,10 @@ class _GradState(threading.local):
     """Per-thread grad-recording flag.
 
     Thread-local (not a module global) so a ``no_grad()`` block in one
-    thread — e.g. a threads-backend :class:`repro.parallel.ParallelExecutor`
-    worker running inference — can never switch off graph recording for a
-    training step running concurrently in another thread.  Each thread
-    starts with recording enabled.
+    thread — e.g. an experiment-grid cell evaluating its model — can never
+    switch off graph recording for a training step running concurrently in
+    another thread (``ExperimentConfig.n_jobs`` trains cells on a thread
+    pool).  Each thread starts with recording enabled.
     """
 
     enabled = True

@@ -135,9 +135,9 @@ class TestDiscovery:
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
-        assert DEFAULT_RULES.ids() == ["R1", "R2", "R3", "R4", "R5",
-                                       "R6", "R7", "R8", "R9"]
+    def test_all_eight_rules_registered(self):
+        assert DEFAULT_RULES.ids() == ["R1", "R2", "R3", "R4",
+                                       "R5", "R6", "R7", "R8"]
 
     def test_every_rule_names_its_contract(self):
         for rule_id in DEFAULT_RULES.ids():
@@ -165,4 +165,4 @@ class TestRegistry:
 
     def test_unknown_rule_lookup_raises(self):
         with pytest.raises(KeyError, match="unknown rule"):
-            DEFAULT_RULES.get("R99")
+            DEFAULT_RULES.get("R42")

@@ -55,7 +55,7 @@ class TestAnalysisCli:
 
     def test_unknown_rule_is_a_usage_error(self, dirty_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            analysis_cli.main(["--rules", "R99", str(dirty_file)])
+            analysis_cli.main(["--rules", "R42", str(dirty_file)])
         assert excinfo.value.code == 2
         assert "unknown rule" in capsys.readouterr().err
 
@@ -94,7 +94,7 @@ class TestReproLintSubcommand:
 
     def test_lint_usage_error_reports_cleanly(self, dirty_file):
         with pytest.raises(SystemExit) as excinfo:
-            repro_cli.main(["lint", "--rules", "R99", str(dirty_file)])
+            repro_cli.main(["lint", "--rules", "R42", str(dirty_file)])
         # SystemExit carries the message (printed to stderr at process exit).
         assert "unknown rule" in str(excinfo.value.code)
 

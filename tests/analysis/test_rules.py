@@ -199,47 +199,6 @@ class TestR8RegistryCompleteness:
         assert lint("R8", "r8_positive.py", NEUTRAL) == []
 
 
-class TestR9PicklablePoolWorker:
-    def test_positive_nested_def_and_lambda_at_exact_positions(self):
-        findings = lint("R9", "r9_positive.py")
-        assert len(findings) == 2
-        nested, lam = findings
-        assert (nested.rule, nested.line, nested.col) == ("R9", 10, 32)
-        assert "nested function 'worker'" in nested.message
-        assert "executor.map" in nested.message
-        assert (lam.rule, lam.line, lam.col) == ("R9", 11, 34)
-        assert "lambda" in lam.message
-        assert "thread_pool.submit" in lam.message
-
-    def test_negative_module_level_workers_are_clean(self):
-        assert lint("R9", "r9_negative.py") == []
-
-    def test_module_level_lambda_flagged(self):
-        source = "results = executor.map(lambda item: item, [1, 2])\n"
-        findings = Analyzer(rules=DEFAULT_RULES.create(["R9"])).check_source(
-            source, NEUTRAL)
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_quarantined_violation_module_is_flagged(self):
-        violation = (Path(__file__).parents[2] / "src" / "repro" / "analysis"
-                     / "violations" / "parallel_closure.py")
-        # Drop the first line (the skip-file marker) so the rule actually
-        # runs; the quarantine relies on that marker plus DEFAULT_EXCLUDES.
-        source = violation.read_text(encoding="utf-8").split("\n", 1)[1]
-        findings = Analyzer(rules=DEFAULT_RULES.create(["R9"])).check_source(
-            source, PurePath("src/repro/clustering/fixture.py"))
-        assert len(findings) == 2
-        assert {"R9"} == {finding.rule for finding in findings}
-
-    def test_shipped_workers_module_is_clean(self):
-        workers = (Path(__file__).parents[2] / "src" / "repro" / "parallel"
-                   / "workers.py")
-        findings = Analyzer(rules=DEFAULT_RULES.create(["R9"])).check_source(
-            workers.read_text(encoding="utf-8"), PurePath(workers.as_posix()))
-        assert findings == []
-
-
 class TestRepoIsClean:
     def test_full_rule_set_reports_nothing_on_src(self):
         src_root = Path(__file__).parents[2] / "src"

@@ -113,6 +113,34 @@ class TestSaveLoadRoundTrip:
         restored = OpenWorldClassifier.load(tmp_path / "ckpt", dataset=small_dataset)
         assert np.array_equal(restored.predict(), clf.predict())
 
+    @staticmethod
+    def _edit_trainer_section(path, **entries):
+        """Add ``entries`` to a saved manifest's trainer config section."""
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        config = manifest["config"]
+        config.get("trainer", config).update(entries)
+        manifest_path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("method", ["openima", "orca"])
+    def test_retired_parallel_section_still_loads(self, method, tmp_path):
+        # Checkpoints from builds with the removed multi-core execution
+        # layer carry these settings; they never changed results.
+        clf = make_classifier(method, max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        self._edit_trainer_section(tmp_path / "ckpt", parallel={
+            "backend": "processes", "n_jobs": 2, "chunk_size": 0})
+        restored = OpenWorldClassifier.load(tmp_path / "ckpt")
+        assert np.array_equal(restored.predict(), clf.predict())
+        assert restored.config == clf.config
+
+    def test_other_unknown_trainer_keys_still_rejected(self, tmp_path):
+        clf = make_classifier(max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        self._edit_trainer_section(tmp_path / "ckpt", n_jobs=2)
+        with pytest.raises(ValueError, match="n_jobs"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("method", ["orca", "opencon", "infonce"])
     def test_baseline_round_trip(self, method, tmp_path):
         clf = make_classifier(method).fit("citeseer", **TINY)

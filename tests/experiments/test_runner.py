@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.openima import OpenIMATrainer
 from repro.baselines.orca import ORCATrainer
+from repro.experiments import runner
 from repro.experiments.runner import (
     AggregatedResult,
     ExperimentConfig,
     RunResult,
     build_method,
     evaluate_trainer,
+    run_grid,
     run_method,
     run_methods,
 )
@@ -114,3 +119,68 @@ class TestEpochBudgets:
         assert config.epochs_for("orca") == 7
         assert config.trainer_config(0, method="orca").max_epochs == 7
         assert config.trainer_config(0, method="openima").max_epochs == 5
+
+
+GRID = dict(scale=0.1, max_epochs=1, batch_size=128, encoder_kind="gcn",
+            seeds=(0, 1))
+
+
+def as_dicts(results) -> list:
+    return [run.as_dict() for result in results for run in result.runs]
+
+
+class TestThreadedGrid:
+    """``n_jobs=2`` trains cells on threads and returns the serial results."""
+
+    def test_grid_cells_match_serial(self):
+        runs = [(method, dataset, {})
+                for method in ("infonce", "openima")
+                for dataset in ("citeseer", "amazon-photos")]
+        serial = run_grid(runs, ExperimentConfig(**GRID))
+        threaded = run_grid(runs, ExperimentConfig(**GRID, n_jobs=2))
+        assert len(as_dicts(threaded)) == 8
+        assert as_dicts(threaded) == as_dicts(serial)
+
+    def test_openima_overrides_match_serial(self):
+        overrides = {"eta": 5.0}
+        serial = run_method("openima", "citeseer", ExperimentConfig(**GRID),
+                            openima_overrides=overrides)
+        threaded = run_method("openima", "citeseer",
+                              ExperimentConfig(**GRID, n_jobs=2),
+                              openima_overrides=overrides)
+        assert as_dicts([threaded]) == as_dicts([serial])
+
+    def test_num_novel_classes_match_serial(self):
+        methods = ["infonce", "openima"]
+        serial = run_methods(methods, "citeseer", ExperimentConfig(**GRID),
+                             num_novel_classes=3)
+        threaded = run_methods(methods, "citeseer",
+                               ExperimentConfig(**GRID, n_jobs=2),
+                               num_novel_classes=3)
+        assert as_dicts(threaded.values()) == as_dicts(serial.values())
+
+    def test_failing_cell_raises_unchanged_and_cancels_queued_cells(
+            self, monkeypatch):
+        error = RuntimeError("cell failed")
+        started = []
+        lock = threading.Lock()
+
+        def fake_cell(method, dataset_name, seed, experiment, **options):
+            with lock:
+                started.append(seed)
+            if seed == 0:
+                raise error
+            time.sleep(0.2)
+
+        monkeypatch.setattr(runner, "run_grid_cell", fake_cell)
+        experiment = ExperimentConfig(seeds=tuple(range(12)), n_jobs=2)
+        with pytest.raises(RuntimeError) as caught:
+            run_method("infonce", "citeseer", experiment)
+        assert caught.value is error
+        # Cell 0 fails at once; the main thread cancels the queue while the
+        # other worker sleeps, so at most a cell or two more ever start.
+        assert len(started) <= 4
+
+    def test_negative_n_jobs_rejected(self):
+        with pytest.raises(ValueError, match="n_jobs"):
+            ExperimentConfig(n_jobs=-1)
