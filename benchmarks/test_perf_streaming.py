@@ -4,7 +4,7 @@ A small arrival batch (a few nodes plus their anchor edges) perturbs the
 embeddings of only the delta's 2-hop ball; ``refresh_after_delta``
 recomputes exactly the affected receptive field and patches the cached
 array, while the naive serving loop recomputes every node (propagation
-rebuild + monolithic forward).  At 50k nodes the affected ball is a few
+rebuild + a whole-graph pass).  At 50k nodes the affected ball is a few
 hundred nodes, so the partial path must win by a wide margin — the
 acceptance criterion is **>= 5x** mean per-delta speedup with embeddings
 matching the full recompute to 1e-8 (checked for GCN at the headline size
@@ -20,7 +20,6 @@ import time
 import numpy as np
 from conftest import save_report
 
-from repro.core.config import InferenceConfig
 from repro.gnn import GATEncoder, GCNEncoder
 from repro.graphs import GraphDelta
 from repro.graphs.graph import Graph
@@ -84,7 +83,7 @@ def replay_deltas(kind: str, num_nodes: int):
     """Apply NUM_DELTAS arrival batches, timing partial vs full per delta."""
     graph = synthetic_graph(num_nodes)
     encoder = build_encoder(kind)
-    engine = InferenceEngine(InferenceConfig(mode="full"))
+    engine = InferenceEngine()
     dynamic = DynamicGraph(graph,
                            num_hops=encoder.num_message_passing_layers)
     engine.embeddings(encoder, graph)  # warm: the steady serving state

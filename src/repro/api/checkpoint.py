@@ -158,16 +158,22 @@ def _rebuild_dataset(manifest: dict, path) -> OpenWorldDataset:
 
 
 def _drop_retired_config_keys(config: dict) -> dict:
-    """``config`` without the trainer section's retired ``parallel`` key.
+    """``config`` without the trainer section's retired keys.
 
     Checkpoints written before the multi-core execution layer was removed
-    carry ``parallel`` settings in their trainer config (top level for
-    baselines, under ``trainer`` for OpenIMA).  They never changed results,
-    so the key is dropped here and ``from_dict`` stays strict for every
-    other field.
+    carry ``parallel`` settings in their trainer config, and those written
+    before the layer-wise forward became the only inference pass carry
+    ``inference.mode`` and ``inference.auto_threshold`` (top level for
+    baselines, under ``trainer`` for OpenIMA).  None of them changes
+    results, so they are dropped here and ``from_dict`` stays strict for
+    every other field.
     """
     trainer = config.get("trainer", config)
     trainer.pop("parallel", None)
+    inference = trainer.get("inference")
+    if isinstance(inference, dict):
+        for key in ("mode", "auto_threshold"):
+            inference.pop(key, None)
     return config
 
 

@@ -172,22 +172,21 @@ class OpenWorldClassifier:
         """Deterministic (dropout-free) node embeddings.
 
         Served by the trainer's :class:`~repro.inference.InferenceEngine`:
-        repeated calls against unchanged parameters reuse one embedding
-        pass, and layerwise mode bounds peak memory on large graphs (see
-        :meth:`configure_inference`).  The returned array is read-only when
-        cached; copy before mutating.
+        one layer-wise pass, chunked by ``inference.chunk_size`` (see
+        :meth:`configure_inference`), reused by repeated calls against
+        unchanged parameters.  The returned array is read-only when cached;
+        copy before mutating.
         """
         return self._require_fitted().node_embeddings()
 
     def configure_inference(
         self, inference: Union[InferenceConfig, Mapping]
     ) -> "OpenWorldClassifier":
-        """Swap the fitted model's inference settings (mode/chunking/cache).
+        """Swap the fitted model's inference settings (chunking/cache/refresh).
 
         Accepts an :class:`~repro.core.config.InferenceConfig` or a plain
-        dict (strict keys), e.g. ``{"mode": "layerwise", "chunk_size":
-        8192}``.  The change is recorded in the config, so subsequent
-        :meth:`save` calls persist it.
+        dict (strict keys), e.g. ``{"chunk_size": 8192}``.  The change is
+        recorded in the config, so subsequent :meth:`save` calls persist it.
         """
         if isinstance(inference, Mapping):
             inference = InferenceConfig.from_dict(inference)

@@ -31,9 +31,11 @@ def contingency_matrix(cluster_labels: np.ndarray, class_labels: np.ndarray,
         raise ValueError("cluster and class label arrays must have identical shape")
     k = num_clusters if num_clusters is not None else int(cluster_labels.max()) + 1
     c = num_classes if num_classes is not None else int(class_labels.max()) + 1
-    matrix = np.zeros((k, c), dtype=np.int64)
-    np.add.at(matrix, (cluster_labels, class_labels), 1)
-    return matrix
+    for labels, bound in ((cluster_labels, k), (class_labels, c)):
+        if labels.size and not 0 <= labels.min() <= labels.max() < bound:
+            raise ValueError(f"labels must lie in [0, {bound})")
+    return np.bincount(cluster_labels * c + class_labels,
+                       minlength=k * c).reshape(k, c)
 
 
 @dataclass

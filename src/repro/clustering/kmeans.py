@@ -15,8 +15,8 @@ The hot paths are fully vectorized:
   keeping BLAS-backed ``data @ centers.T`` throughput; only the per-sample
   argmin / min are retained.
 * The centroid update accumulates every cluster in one
-  ``np.add.at`` scatter-add plus a ``bincount`` — O(n * d) with no Python
-  loop over clusters (previously O(k) passes over the data).
+  :func:`repro.nn.segment.scatter_sum` plus a ``bincount`` — O(n * d) with
+  no Python loop over clusters.
 
 One Lloyd iteration is therefore O(n * k * d) FLOPs and
 O(chunk_size * k + k * d) extra memory for any ``n``.
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..nn.segment import scatter_sum
 
 
 @dataclass
@@ -94,8 +96,7 @@ def _assign_labels(data: np.ndarray, centers: np.ndarray,
 
 def _cluster_sums(data: np.ndarray, labels: np.ndarray, num_clusters: int) -> tuple:
     """Per-cluster feature sums and member counts in one scatter-add pass."""
-    sums = np.zeros((num_clusters, data.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, data)
+    sums = scatter_sum(data, labels, num_clusters)
     counts = np.bincount(labels, minlength=num_clusters).astype(np.float64)
     return sums, counts
 

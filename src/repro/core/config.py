@@ -269,31 +269,24 @@ class ClusteringConfig(SerializableConfig):
                 f"clustering max_clusters must be >= 1, got {self.max_clusters}")
 
 
-#: Valid ``InferenceConfig.mode`` values.
-INFERENCE_MODES = ("auto", "full", "layerwise")
-
-
 @dataclass(frozen=True)
 class InferenceConfig(SerializableConfig):
     """Deterministic all-node inference settings (``repro.inference``).
 
+    Embeddings are always computed by the layer-wise forward
+    (:class:`repro.inference.LayerwiseInference`), layer by layer in node
+    chunks.
+
     Attributes
     ----------
-    mode:
-        ``"full"`` runs the encoder's monolithic ``embed`` forward;
-        ``"layerwise"`` computes embeddings layer by layer in node chunks
-        (same result to 1e-8, bounded peak memory); ``"auto"`` (default)
-        picks layerwise once the graph has at least ``auto_threshold``
-        nodes.
     chunk_size:
-        Number of node rows computed per chunk in layerwise mode.
+        Number of node rows computed per chunk; bounds the per-chunk
+        working set (for GAT, the chunk's per-edge messages).
     cache:
         Reuse one embedding pass across pseudo-label refresh, evaluation,
         validation accuracy, and prediction while the encoder parameters are
         unchanged (keyed by the parameter version counter, so stale reuse is
         impossible).
-    auto_threshold:
-        Node count at which ``mode="auto"`` switches to layerwise.
     partial_refresh:
         Allow ``InferenceEngine.refresh_after_delta`` to serve a graph delta
         by recomputing only the affected receptive field and patching the
@@ -301,28 +294,18 @@ class InferenceConfig(SerializableConfig):
         to a full recompute.
     partial_threshold:
         Affected-set fraction above which a delta falls back to a full
-        recompute — once most of the graph is affected, one monolithic pass
-        beats subgraph extraction plus patching.
+        recompute — once most of the graph is affected, one full pass beats
+        subgraph extraction plus patching.
     """
 
-    mode: str = "auto"
     chunk_size: int = 4096
     cache: bool = True
-    auto_threshold: int = 32768
     partial_refresh: bool = True
     partial_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.mode not in INFERENCE_MODES:
-            raise ValueError(
-                f"unknown inference mode {self.mode!r}; expected one of {INFERENCE_MODES}"
-            )
         if int(self.chunk_size) < 1:
             raise ValueError(f"inference chunk_size must be >= 1, got {self.chunk_size}")
-        if int(self.auto_threshold) < 0:
-            raise ValueError(
-                f"inference auto_threshold must be >= 0, got {self.auto_threshold}"
-            )
         if not 0.0 < float(self.partial_threshold) <= 1.0:
             raise ValueError(
                 f"inference partial_threshold must be in (0, 1], "

@@ -110,10 +110,10 @@ class GraphTrainer:
                 rng=self._sampling_rng if self._sampling_rng is not None else self.rng,
             )
 
-        #: Deterministic all-node inference: layerwise/full mode selection
-        #: plus the parameter-version-keyed embedding cache, so pseudo-label
-        #: refresh, evaluation, and prediction against unchanged parameters
-        #: share a single encoder forward (see repro.inference).
+        #: Deterministic all-node inference: the layer-wise forward plus the
+        #: parameter-version-keyed embedding cache, so pseudo-label refresh,
+        #: evaluation, and prediction against unchanged parameters share a
+        #: single encoder pass (see repro.inference).
         self.inference_engine = InferenceEngine(config.inference)
 
         #: Strategy-based clustering (see repro.clustering.engine): the
@@ -322,11 +322,11 @@ class GraphTrainer:
     def node_embeddings(self) -> np.ndarray:
         """Deterministic (dropout-free) embeddings of every node.
 
-        Served by the :class:`~repro.inference.InferenceEngine`: the
-        configured mode (``full``/``layerwise``/``auto``) decides how the
-        pass is computed, and the parameter-version-keyed cache returns the
-        same (read-only) array to every caller until the next parameter
-        update.  Copy before mutating.
+        Served by the :class:`~repro.inference.InferenceEngine`: one
+        layer-wise pass (the encoder's ``embed``, chunked by
+        ``inference.chunk_size``), and the parameter-version-keyed cache
+        returns the same (read-only) array to every caller until the next
+        parameter update.  Copy before mutating.
         """
         return self.inference_engine.embeddings(self.encoder, self.dataset.graph)
 
@@ -339,7 +339,7 @@ class GraphTrainer:
         return logits.numpy()
 
     def configure_inference(self, inference: InferenceConfig) -> None:
-        """Swap the inference settings (mode, chunk size, caching) in place.
+        """Swap the inference settings (chunk size, caching, refresh) in place.
 
         Rebuilds the engine (dropping any cached embeddings) and records the
         new section in ``self.config`` so subsequent checkpoints persist it.

@@ -12,11 +12,11 @@ Resume that checkpoint for five more epochs::
 
     python -m repro.experiments.cli resume runs/openima-citeseer --epochs 15
 
-Export all-node embeddings / predictions from a checkpoint (layer-wise
-inference bounds peak memory on large graphs)::
+Export all-node embeddings / predictions from a checkpoint (the chunk size
+of the layer-wise forward bounds its working set on large graphs)::
 
     python -m repro.experiments.cli embed runs/openima-citeseer emb.npz \
-        --set inference.mode=layerwise --set inference.chunk_size=8192
+        --set inference.chunk_size=8192
     python -m repro.experiments.cli predict runs/openima-citeseer \
         --predictions-npz pred.npz --output pred.json
 
@@ -25,7 +25,7 @@ embedding cache warm, coalesces concurrent queries; Ctrl-C / SIGTERM shuts
 down gracefully)::
 
     python -m repro.experiments.cli serve runs/openima-citeseer \
-        --port 8741 --batch-window-ms 2 --set inference.mode=layerwise
+        --port 8741 --batch-window-ms 2
 
 Replay a dataset as a prequential open-world stream — the base model trains
 on a subgraph, the rest (including a withheld novel class) arrives as graph
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides",
                        help="inference override (repeatable), e.g. "
-                            "--set inference.mode=layerwise "
                             "--set inference.chunk_size=8192")
     embed.add_argument("--output", type=str, default=None,
                        help="optional path for a JSON copy of the metadata")
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          dest="overrides",
                          help="inference/clustering override (repeatable), e.g. "
-                              "--set inference.mode=layerwise "
+                              "--set inference.chunk_size=8192 "
                               "--set clustering.strategy=minibatch")
     predict.add_argument("--output", type=str, default=None,
                          help="optional path for the predictions + accuracy JSON")
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides",
                        help="inference/clustering override (repeatable), e.g. "
-                            "--set inference.mode=layerwise "
+                            "--set inference.chunk_size=8192 "
                             "--set clustering.strategy=minibatch")
     serve.add_argument("--output", type=str, default=None,
                        help="optional path for a JSON copy of the final "
@@ -449,14 +448,14 @@ def _load_for_inference(args: argparse.Namespace,
         if not isinstance(section, dict):
             raise ValueError(
                 f"--set {name}=... must use dotted keys, e.g. "
-                f"--set {name}.{'mode=layerwise' if name == 'inference' else 'strategy=minibatch'}"
+                f"--set {name}.{'chunk_size=8192' if name == 'inference' else 'strategy=minibatch'}"
             )
         sections[name] = section
     if overrides:
         valid = "/".join(f"{name}.*" for name in allowed)
         raise ValueError(
             f"only {valid} overrides are valid for this command, got "
-            f"{sorted(overrides)}; e.g. --set inference.mode=layerwise"
+            f"{sorted(overrides)}; e.g. --set inference.chunk_size=8192"
         )
     if sections.get("inference"):
         current = classifier.trainer_.config.inference.to_dict()
@@ -471,31 +470,22 @@ def _load_for_inference(args: argparse.Namespace,
     return classifier
 
 
-def _resolved_inference_mode(classifier) -> str:
-    trainer = classifier.trainer_
-    return classifier.inference_engine.resolve_mode(trainer.encoder,
-                                                    trainer.dataset.graph)
-
-
 def _handle_embed(args: argparse.Namespace) -> dict:
     import numpy as np
 
     classifier = _load_for_inference(args)
     embeddings = classifier.embed()
-    mode = _resolved_inference_mode(classifier)
     np.savez(args.npz, embeddings=embeddings)
     lines = [
         f"method:     {classifier.method}",
         f"dataset:    {classifier.dataset_.name}",
-        f"embeddings: shape {embeddings.shape} "
-        f"({'layer-wise' if mode == 'layerwise' else 'full'} forward)",
+        f"embeddings: shape {embeddings.shape}",
         f"written to: {args.npz}",
     ]
     return {
         "report": "\n".join(lines),
         "method": classifier.method,
         "dataset": classifier.dataset_.name,
-        "inference_mode": mode,
         "shape": list(embeddings.shape),
         "npz": str(args.npz),
     }
@@ -510,13 +500,12 @@ def _handle_predict(args: argparse.Namespace) -> dict:
     embeddings = classifier.embed()
     result = classifier.trainer_.predict(embeddings=embeddings)
     accuracy = classifier.trainer_.accuracy_of(result)
-    mode = _resolved_inference_mode(classifier)
     if args.predictions_npz:
         np.savez(args.predictions_npz, predictions=result.predictions)
     lines = [
         f"method:    {classifier.method}",
         f"dataset:   {dataset.name}",
-        f"inference: {mode} ({classifier.inference_engine.forward_count} forward)",
+        f"inference: {classifier.inference_engine.forward_count} forward",
         f"accuracy:  all={accuracy.overall:.4f}  seen={accuracy.seen:.4f}  "
         f"novel={accuracy.novel:.4f}",
     ]
@@ -526,7 +515,6 @@ def _handle_predict(args: argparse.Namespace) -> dict:
         "report": "\n".join(lines),
         "method": classifier.method,
         "dataset": dataset.name,
-        "inference_mode": mode,
         "accuracy": accuracy.as_dict(),
     }
     if args.output:

@@ -20,6 +20,9 @@ of edges (incl. self loops), ``H`` the head count, and ``d`` the per-head
 width.  ``backend="dense"`` materializes the per-head N x N attention matrix
 (masked softmax + dense matmul); it is O(N^2) and exists as the reference
 implementation for the parity tests in ``tests/gnn/test_backend_parity.py``.
+The backend selects the training forward only: :meth:`GATEncoder.embed`
+runs the edge-list layer-wise plan on both, which computes the same
+function to 1e-8.
 """
 
 from __future__ import annotations
@@ -33,33 +36,31 @@ from ..graphs.utils import add_self_loops
 from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
+from ..nn.segment import scatter_sum, segment_softmax
 from ..nn.tensor import Tensor, cat
-from .backends import check_backend
+from .backends import GNNEncoder, check_backend
 
 
 def _dense_attention_mask(src: np.ndarray, dst: np.ndarray,
-                          has_incoming: np.ndarray, num_nodes: int,
-                          start: int, stop: int) -> tuple:
-    """Rows ``[start, stop)`` of the dense additive attention mask + row gate.
+                          num_nodes: int) -> tuple:
+    """The dense backend's additive attention mask and row gate.
 
-    ``src``/``dst`` must contain exactly the edges whose destination lies in
-    ``[start, stop)``.  The mask is log(multiplicity): 0 on single edges,
-    -inf on non-edges, so the row softmax over sources matches the segment
-    softmax over incoming edges — a duplicated directed edge carries its
-    attention mass once per copy, exactly like the edge list.  Rows of nodes
-    with no incoming edges would softmax to 0/0 = NaN; they are left
-    unmasked here and zeroed through the returned row gate instead, matching
-    the all-zero rows the sparse scatter-add produces.  Shared by the full
-    dense forward (called with the whole range) and the layer-wise dense
-    step (called per chunk), so the parity-critical arithmetic exists once.
+    The mask is log(multiplicity): 0 on single edges, -inf on non-edges, so
+    the row softmax over sources matches the segment softmax over incoming
+    edges — a duplicated directed edge carries its attention mass once per
+    copy, exactly like the edge list.  Rows of nodes with no incoming edges
+    would softmax to 0/0 = NaN; they are left unmasked here and zeroed
+    through the returned row gate instead, matching the all-zero rows the
+    sparse scatter-add produces.
     """
-    multiplicity = np.zeros((stop - start, num_nodes))
-    np.add.at(multiplicity, (dst - start, src), 1.0)
+    multiplicity = np.zeros((num_nodes, num_nodes))
+    np.add.at(multiplicity, (dst, src), 1.0)
     with np.errstate(divide="ignore"):
         mask = np.log(multiplicity)
-    rows_incoming = has_incoming[start:stop]
-    mask[~rows_incoming] = 0.0
-    row_gate = rows_incoming.astype(np.float64).reshape(-1, 1)
+    has_incoming = np.zeros(num_nodes, dtype=bool)
+    has_incoming[dst] = True
+    mask[~has_incoming] = 0.0
+    row_gate = has_incoming.astype(np.float64).reshape(-1, 1)
     return mask, row_gate
 
 
@@ -133,10 +134,7 @@ class GATLayer(Module):
     def _forward_dense(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
         """Reference path: per-head masked N x N attention (O(N^2) memory)."""
         src, dst = edge_index
-        has_incoming = np.zeros(num_nodes, dtype=bool)
-        has_incoming[dst] = True
-        mask, row_gate_np = _dense_attention_mask(src, dst, has_incoming,
-                                                  num_nodes, 0, num_nodes)
+        mask, row_gate_np = _dense_attention_mask(src, dst, num_nodes)
         row_gate = Tensor(row_gate_np)
 
         head_outputs = []
@@ -163,7 +161,7 @@ class GATLayer(Module):
         return stacked * (1.0 / self.num_heads)
 
 
-class GATEncoder(Module):
+class GATEncoder(GNNEncoder):
     """Two-layer GAT encoder producing node representations.
 
     The first layer concatenates its heads and applies ELU; the second layer
@@ -215,70 +213,30 @@ class GATEncoder(Module):
         hidden = self.layer1(x, edge_index, graph.num_nodes).elu()
         return self.layer2(hidden, edge_index, graph.num_nodes)
 
-    def embed(self, graph: Graph) -> np.ndarray:
-        """Inference-mode embeddings as a plain numpy array."""
-        from ..nn.tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                output = self.forward(graph)
-        finally:
-            self.train(was_training)
-        return output.numpy()
-
     # -- layer-wise inference interface ---------------------------------
     def layerwise_plan(self, graph: Graph) -> list:
-        """Per-layer numpy inference steps for chunked all-node embedding.
+        """Per-layer numpy steps of :meth:`embed`, one chunk of targets at a time.
 
-        Consumed by :class:`repro.inference.LayerwiseInference`.  Attention
-        is evaluated per chunk of *target* nodes: the edge list (with self
-        loops) is grouped by destination once, then each chunk softmaxes and
-        aggregates only its own incoming edges, so neither the full
-        ``E x heads`` score matrix (sparse backend) nor the ``N x N``
-        attention matrix (dense backend) is ever materialized.  Dropout is
-        inference-off by construction, matching :meth:`embed`.
+        Consumed by :class:`repro.inference.LayerwiseInference` on both
+        backends (the dense one computes the same function).  The edge list
+        (with self loops) is grouped by destination once; each chunk then
+        softmaxes and aggregates only its own incoming edges, so the per-edge
+        ``E x heads x width`` message tensor is never built for the whole
+        graph.  Dropout is off by construction.
         """
-        edge_index = add_self_loops(graph.edge_index, graph.num_nodes)
-        edges = _DstGroupedEdges.build(edge_index, graph.num_nodes)
-        step_cls = _GATDenseStep if self.backend == "dense" else _GATSparseStep
-        return [
-            step_cls(self.layer1, edges, elu=True),
-            step_cls(self.layer2, edges, elu=False),
-        ]
-
-
-# ----------------------------------------------------------------------
-# Layer-wise numpy inference (no autodiff, chunked over target nodes)
-# ----------------------------------------------------------------------
-class _DstGroupedEdges:
-    """Edge list (incl. self loops) grouped by destination node.
-
-    The stable sort preserves each destination's original edge order, so
-    per-segment reductions accumulate in exactly the same order as the full
-    forward's global scatter ops.
-    """
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
-                 num_nodes: int):
-        self.src = src
-        self.dst = dst
-        self.indptr = indptr
-        self.num_nodes = num_nodes
-        self.has_incoming = np.zeros(num_nodes, dtype=bool)
-        self.has_incoming[dst] = True
-
-    @classmethod
-    def build(cls, edge_index: np.ndarray, num_nodes: int) -> "_DstGroupedEdges":
         from ..graphs.sampling import build_edge_csr
 
-        # Group by destination = group the reversed edge list by source;
-        # build_edge_csr guarantees the order/multiplicity preservation the
-        # per-segment parity relies on.
+        num_nodes = graph.num_nodes
+        edge_index = add_self_loops(graph.edge_index, num_nodes)
+        # Group by destination = group the reversed edge list by source.  The
+        # CSR keeps each destination's edges in their original order, so
+        # every segment sums in the same order as the forward's scatter.
         indptr, src = build_edge_csr(edge_index[::-1], num_nodes)
         dst = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
-        return cls(src, dst, indptr, num_nodes)
+        return [
+            _GATLayerStep(self.layer1, indptr, src, dst, elu=True),
+            _GATLayerStep(self.layer2, indptr, src, dst, elu=False),
+        ]
 
 
 def _leaky_relu_np(x: np.ndarray, negative_slope: float) -> np.ndarray:
@@ -289,141 +247,52 @@ def _elu_np(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
 
-def _softmax_rows_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+class _GATLayerStep:
+    """One GAT layer as a chunked numpy computation.
 
-
-def _segment_softmax_np(scores: np.ndarray, segment_ids: np.ndarray,
-                        num_segments: int) -> np.ndarray:
-    """Numpy twin of :func:`repro.nn.functional.segment_softmax`."""
-    seg_max = np.full((num_segments, scores.shape[1]), -np.inf)
-    np.maximum.at(seg_max, segment_ids, scores)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    exp = np.exp(scores - seg_max[segment_ids])
-    denom = np.zeros((num_segments, scores.shape[1]))
-    np.add.at(denom, segment_ids, exp)
-    return exp / (denom[segment_ids] + 1e-16)
-
-
-class _GATSparseStep:
-    """One sparse-backend GAT layer as a chunked numpy computation.
-
-    ``prepare`` makes one chunked pass over the nodes to collect the
-    per-node attention scores (``N x heads`` — the only full-graph buffer);
-    ``compute`` then projects just the chunk's unique source nodes and runs
-    the segment softmax/aggregation over the chunk's incoming edges.
+    ``prepare`` projects every node once, as the forward does, keeps the
+    per-node attention scores and hands the projection (``N x heads x
+    width``) to ``compute`` in place of ``h``; ``compute`` softmaxes and
+    aggregates the incoming edges of one chunk of target nodes.
     """
 
-    def __init__(self, layer: GATLayer, edges: _DstGroupedEdges, elu: bool):
+    def __init__(self, layer: GATLayer, indptr: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, elu: bool):
         self.layer = layer
-        self.edges = edges
+        self.indptr = indptr
+        self.src = src
+        self.dst = dst
         self.elu = elu
         self.out_dim = layer.output_dim
         self._score_src: Optional[np.ndarray] = None
         self._score_dst: Optional[np.ndarray] = None
 
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
+    def prepare(self, h: np.ndarray) -> np.ndarray:
         layer = self.layer
-        num_nodes = h.shape[0]
-        self._score_src = np.empty((num_nodes, layer.num_heads))
-        self._score_dst = np.empty((num_nodes, layer.num_heads))
-        weight = layer.weight.data
-        for start in range(0, num_nodes, chunk_size):
-            stop = min(start + chunk_size, num_nodes)
-            # (C, F) @ (H, F, O) -> (H, C, O) -> (C, H, O), as in forward.
-            projected = np.matmul(h[start:stop], weight).transpose(1, 0, 2)
-            self._score_src[start:stop] = (projected * layer.att_src.data).sum(axis=-1)
-            self._score_dst[start:stop] = (projected * layer.att_dst.data).sum(axis=-1)
+        # One (N, F) @ (F, H * O) product, viewed as (N, H, O): the
+        # forward's per-head projection, laid out for row gathers.
+        weight = layer.weight.data.transpose(1, 0, 2).reshape(layer.in_features, -1)
+        projected = (h @ weight).reshape(h.shape[0], layer.num_heads, layer.out_features)
+        self._score_src = (projected * layer.att_src.data).sum(axis=-1)
+        self._score_dst = (projected * layer.att_dst.data).sum(axis=-1)
+        return projected
 
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
+    def compute(self, projected: np.ndarray, start: int, stop: int) -> np.ndarray:
         layer = self.layer
-        edges = self.edges
-        lo, hi = edges.indptr[start], edges.indptr[stop]
-        e_src = edges.src[lo:hi]
-        e_dst_local = edges.dst[lo:hi] - start
-        num_targets = stop - start
-
-        scores = _leaky_relu_np(
-            self._score_src[e_src] + self._score_dst[edges.dst[lo:hi]],
-            layer.negative_slope,
-        )
-        alpha = _segment_softmax_np(scores, e_dst_local, num_targets)
-
-        unique_src, inverse = np.unique(e_src, return_inverse=True)
-        projected = np.matmul(h[unique_src], layer.weight.data).transpose(1, 0, 2)
-        messages = projected[inverse] * alpha[:, :, None]
-        aggregated = np.zeros((num_targets, layer.num_heads, layer.out_features))
-        np.add.at(aggregated, e_dst_local, messages)
-
+        lo, hi = self.indptr[start], self.indptr[stop]
+        src, dst = self.src[lo:hi], self.dst[lo:hi]
+        targets, num_targets = dst - start, stop - start
+        scores = _leaky_relu_np(self._score_src[src] + self._score_dst[dst],
+                                layer.negative_slope)
+        alpha = segment_softmax(scores, targets, num_targets)
+        messages = projected[src] * alpha[:, :, None]
+        aggregated = scatter_sum(messages, targets, num_targets)
         if layer.concat_heads:
             out = aggregated.reshape(num_targets, layer.num_heads * layer.out_features)
         else:
-            out = aggregated.mean(axis=1)
+            out = aggregated.sum(axis=1) * (1.0 / layer.num_heads)
         return _elu_np(out) if self.elu else out
 
     def finish(self) -> None:
-        self._score_src = None
-        self._score_dst = None
-
-
-class _GATDenseStep:
-    """One dense-backend GAT layer, chunked to ``chunk x N`` attention rows.
-
-    The O(N^2) reference forward materializes a full ``N x N`` attention
-    matrix per head; this step rebuilds only the chunk's rows (multiplicity
-    mask included) so peak memory drops to ``chunk_size x N`` while
-    reproducing the reference arithmetic row for row.
-    """
-
-    def __init__(self, layer: GATLayer, edges: _DstGroupedEdges, elu: bool):
-        self.layer = layer
-        self.edges = edges
-        self.elu = elu
-        self.out_dim = layer.output_dim
-        self._projected: Optional[list] = None
-        self._score_src: Optional[list] = None
-        self._score_dst: Optional[list] = None
-
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
-        layer = self.layer
-        self._projected, self._score_src, self._score_dst = [], [], []
-        for head in range(layer.num_heads):
-            # Per-head 2D matmuls, mirroring the dense reference forward.
-            projected = h @ layer.weight.data[head]  # (N, O)
-            self._projected.append(projected)
-            self._score_src.append(projected @ layer.att_src.data[head])  # (N,)
-            self._score_dst.append(projected @ layer.att_dst.data[head])  # (N,)
-
-    def _mask_rows(self, start: int, stop: int) -> tuple:
-        edges = self.edges
-        lo, hi = edges.indptr[start], edges.indptr[stop]
-        return _dense_attention_mask(edges.src[lo:hi], edges.dst[lo:hi],
-                                     edges.has_incoming, edges.num_nodes,
-                                     start, stop)
-
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        layer = self.layer
-        mask, row_gate = self._mask_rows(start, stop)
-        head_outputs = []
-        for head in range(layer.num_heads):
-            logits = _leaky_relu_np(
-                self._score_src[head][None, :] + self._score_dst[head][start:stop, None],
-                layer.negative_slope,
-            )
-            alpha = _softmax_rows_np(logits + mask) * row_gate
-            head_outputs.append(alpha @ self._projected[head])
-        if layer.concat_heads:
-            out = np.concatenate(head_outputs, axis=1)
-        else:
-            stacked = head_outputs[0]
-            for other in head_outputs[1:]:
-                stacked = stacked + other
-            out = stacked * (1.0 / layer.num_heads)
-        return _elu_np(out) if self.elu else out
-
-    def finish(self) -> None:
-        self._projected = None
         self._score_src = None
         self._score_dst = None

@@ -26,7 +26,9 @@ constructor argument (also reachable through
     dense matrix can win; infeasible beyond a few 10^4 nodes.
 
 Both backends compute the same function; the test suite checks forward and
-gradient agreement to 1e-8 (``tests/gnn/test_backend_parity.py``).
+gradient agreement to 1e-8 (``tests/gnn/test_backend_parity.py``).  The
+backend selects the training forward only: :meth:`GCNEncoder.embed` runs the
+sparse layer-wise plan on both.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 from ..graphs.graph import Graph
 from ..nn.layers import Dropout, Linear, Module
 from ..nn.tensor import Tensor, sparse_matmul
-from .backends import check_backend
+from .backends import GNNEncoder, check_backend
 
 Propagation = Union[np.ndarray, sp.spmatrix]
 
@@ -62,7 +64,7 @@ class GCNLayer(Module):
         return Tensor(propagation).matmul(projected)
 
 
-class GCNEncoder(Module):
+class GCNEncoder(GNNEncoder):
     """Two-layer GCN encoder with dropout, mirroring :class:`GATEncoder`'s API."""
 
     def __init__(
@@ -113,31 +115,18 @@ class GCNEncoder(Module):
         hidden = self.dropout(hidden)
         return self.layer2(hidden, propagation)
 
-    def embed(self, graph: Graph) -> np.ndarray:
-        """Inference-mode embeddings as a plain numpy array."""
-        from ..nn.tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                output = self.forward(graph)
-        finally:
-            self.train(was_training)
-        return output.numpy()
-
     # -- layer-wise inference interface ---------------------------------
     def layerwise_plan(self, graph: Graph) -> list:
-        """Per-layer numpy inference steps for chunked all-node embedding.
+        """Per-layer numpy steps of :meth:`embed`, one chunk of rows at a time.
 
-        Consumed by :class:`repro.inference.LayerwiseInference`: each step
-        computes one layer's output rows from the full previous-layer
-        activations, so at any moment only two layer activations (plus a
-        chunk-sized temporary) are alive — no autodiff graph, no all-layer
-        materialization.  Dropout is inference-off by construction, matching
-        :meth:`embed`.
+        Consumed by :class:`repro.inference.LayerwiseInference` on both
+        backends, always with the sparse propagation matrix (the dense
+        backend computes the same function).  Each step computes one
+        layer's output rows from the full previous-layer activations, so
+        only two layer activations (plus a chunk-sized temporary) are alive
+        and no autodiff graph is built.  Dropout is off by construction.
         """
-        propagation = self._propagation(graph)
+        propagation = graph.propagation()
         return [
             _GCNLayerStep(self.layer1, propagation, relu=True),
             _GCNLayerStep(self.layer2, propagation, relu=False),
@@ -147,13 +136,15 @@ class GCNEncoder(Module):
 class _GCNLayerStep:
     """One GCN layer as a chunked numpy computation.
 
-    ``compute`` evaluates output rows ``[start, stop)`` as
-    ``(P[start:stop] @ h) @ W + (P 1) b`` — propagation first, so the only
-    temporary is ``chunk x in_features`` instead of the full ``N x
-    out_features`` projection.  Matrix associativity makes this equal to the
-    training forward's ``P @ (h W + b)`` up to float rounding (parity is
-    tested at 1e-8); note the bias is added *before* propagation there, so
-    it must be scaled by the propagation row sums here.
+    Output rows ``[start, stop)`` are ``P[start:stop] @ (h W + b)``, in the
+    cheaper association for the layer's widths.  A layer that narrows
+    (``in > out``) projects every node first, exactly as the training
+    forward does, and hands the projection to ``compute`` in place of
+    ``h``.  A layer that widens propagates first, ``(P[start:stop] @ h) @ W
+    + (P 1) b``, so its only temporary is ``chunk x in_features``; matrix
+    associativity makes this equal to the forward up to float rounding
+    (parity is tested at 1e-8).  The forward adds the bias *before*
+    propagation, so here it is scaled by the propagation row sums.
     """
 
     def __init__(self, layer: GCNLayer, propagation: Propagation, relu: bool):
@@ -161,18 +152,26 @@ class _GCNLayerStep:
         self.propagation = propagation
         self.relu = relu
         self.out_dim = layer.linear.out_features
+        self.project_first = layer.linear.in_features > layer.linear.out_features
         self._row_sums: Optional[np.ndarray] = None
 
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
-        if self.layer.linear.bias is not None:
+    def prepare(self, h: np.ndarray) -> np.ndarray:
+        linear = self.layer.linear
+        if self.project_first:
+            projected = h @ linear.weight.data
+            if linear.bias is not None:
+                projected += linear.bias.data
+            return projected
+        if linear.bias is not None:
             self._row_sums = np.asarray(self.propagation.sum(axis=1)).reshape(-1, 1)
+        return h
 
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        aggregated = self.propagation[start:stop] @ h
-        out = aggregated @ self.layer.linear.weight.data
-        bias = self.layer.linear.bias
-        if bias is not None:
-            out = out + self._row_sums[start:stop] * bias.data
+    def compute(self, source: np.ndarray, start: int, stop: int) -> np.ndarray:
+        out = self.propagation[start:stop] @ source
+        if not self.project_first:
+            out = out @ self.layer.linear.weight.data
+            if self.layer.linear.bias is not None:
+                out = out + self._row_sums[start:stop] * self.layer.linear.bias.data
         if self.relu:
             out = out * (out > 0)
         return out

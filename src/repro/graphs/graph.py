@@ -145,9 +145,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Out-degree of every node based on the stored directed edges."""
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(counts, self.edge_index[0], 1)
-        return counts
+        return np.bincount(self.edge_index[0], minlength=self.num_nodes)
 
     def edge_csr(self) -> tuple:
         """CSR view ``(indptr, indices)`` of the edge list, grouped by source.

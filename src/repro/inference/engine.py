@@ -1,11 +1,12 @@
-"""The inference facade: mode selection + versioned embedding cache.
+"""The inference facade: the layer-wise forward + versioned embedding cache.
 
 :class:`InferenceEngine` is the single entry point for deterministic
 all-node embeddings.  It owns
 
-* the **mode policy** from :class:`repro.core.config.InferenceConfig`
-  (``full`` monolithic forward, ``layerwise`` chunked evaluation, or
-  ``auto`` switching on graph size), and
+* the :class:`~repro.inference.layerwise.LayerwiseInference` pass, chunked
+  by :class:`repro.core.config.InferenceConfig` ``chunk_size`` — the one
+  no-grad forward, run on the whole graph and, for partial refreshes, on a
+  delta's receptive-field subgraph — and
 * the :class:`~repro.inference.cache.EmbeddingCache`, so every consumer of
   the same parameter state — pseudo-label refresh, ``EvaluationCallback``,
   ``validation_accuracy``, ``predict`` — shares one embedding pass instead
@@ -29,8 +30,7 @@ from .layerwise import LayerwiseInference
 
 _FORWARD_SECONDS = REGISTRY.histogram(
     "repro_inference_forward_seconds",
-    "Wall time of one all-node embedding pass, by mode.",
-    labelnames=("mode",))
+    "Wall time of one all-node embedding pass.")
 _REFRESHES = REGISTRY.counter(
     "repro_inference_refreshes_total",
     "Delta refreshes served, by kind (partial patch vs full recompute).",
@@ -64,22 +64,10 @@ class InferenceEngine:
         self.full_refresh_count = 0
 
     # ------------------------------------------------------------------
-    # Policy
-    # ------------------------------------------------------------------
-    def resolve_mode(self, encoder: Module, graph: Graph) -> str:
-        """The concrete mode (``full``/``layerwise``) used for this input."""
-        mode = self.config.mode
-        if mode == "auto":
-            supports_layerwise = hasattr(encoder, "layerwise_plan")
-            large = graph.num_nodes >= self.config.auto_threshold
-            return "layerwise" if (supports_layerwise and large) else "full"
-        return mode
-
-    # ------------------------------------------------------------------
     # Embeddings
     # ------------------------------------------------------------------
     def embeddings(self, encoder: Module, graph: Graph) -> np.ndarray:
-        """All-node embeddings under the configured mode, cached by version.
+        """All-node embeddings of ``encoder`` on ``graph``, cached by version.
 
         The returned array is marked read-only when it comes from the cache
         layer; callers that need to mutate it must copy.
@@ -97,12 +85,9 @@ class InferenceEngine:
 
     def _compute(self, encoder: Module, graph: Graph) -> np.ndarray:
         self.forward_count += 1
-        mode = self.resolve_mode(encoder, graph)
-        with _FORWARD_SECONDS.time(mode=mode), \
-                span("inference.compute", mode=mode, nodes=graph.num_nodes):
-            if mode == "layerwise":
-                return self._layerwise.run(encoder, graph)
-            return encoder.embed(graph)
+        with _FORWARD_SECONDS.time(), \
+                span("inference.compute", nodes=graph.num_nodes):
+            return self._layerwise.run(encoder, graph)
 
     # ------------------------------------------------------------------
     # Incremental refresh (streaming deltas)
@@ -114,10 +99,10 @@ class InferenceEngine:
         When the cache still holds the pre-delta embeddings, only the
         delta's affected receptive field is recomputed: the report's
         pre-extracted subgraph batch (or a fresh ``khop_subgraph`` over the
-        affected set) is run through the encoder, the affected rows are
-        patched into a copy of the cached array, and the result is stored
-        under the graph's *new* ``cache_version``.  Unaffected rows are
-        bit-identical to a full recompute — their propagation rows and
+        affected set) is run through the layer-wise forward, the affected
+        rows are patched into a copy of the cached array, and the result is
+        stored under the graph's *new* ``cache_version``.  Unaffected rows
+        are bit-identical to a full recompute — their propagation rows and
         receptive fields did not change — and the affected rows match to
         float tolerance because the subgraph propagation is the sliced
         full-graph matrix (see :mod:`repro.graphs.sampling`).
@@ -173,7 +158,7 @@ class InferenceEngine:
                 from ..graphs.sampling import khop_subgraph
 
                 batch = khop_subgraph(graph, report.affected, report.num_hops)
-            sub_embeddings = encoder.embed(batch.graph)
+            sub_embeddings = self._layerwise.run(encoder, batch.graph)
             patched = np.empty((graph.num_nodes, sub_embeddings.shape[1]),
                                dtype=sub_embeddings.dtype)
             patched[:report.old_num_nodes] = old_embeddings
@@ -210,7 +195,7 @@ class InferenceEngine:
 
     def __repr__(self) -> str:
         return (
-            f"InferenceEngine(mode={self.config.mode!r}, "
-            f"chunk_size={self.config.chunk_size}, cache={self.config.cache}, "
+            f"InferenceEngine(chunk_size={self.config.chunk_size}, "
+            f"cache={self.config.cache}, "
             f"forwards={self.forward_count})"
         )

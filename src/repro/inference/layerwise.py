@@ -1,30 +1,35 @@
-"""Layer-wise, chunked all-node embedding computation.
+"""Layer-wise, chunked all-node embedding: the one no-grad forward.
 
-:class:`LayerwiseInference` computes the same deterministic embeddings as
-``encoder.embed(graph)`` but **layer by layer in node chunks**, entirely in
-numpy (no autodiff graph):
+:class:`LayerwiseInference` computes every encoder's deterministic
+embeddings — ``encoder.embed(graph)``, the inference engine's passes and
+its partial refreshes all run it — **layer by layer in node chunks**,
+entirely in numpy (no autodiff graph):
 
-* at any moment only the previous layer's activations, the layer being
-  filled, and one chunk-sized temporary are alive — a full autodiff forward
-  instead keeps every intermediate of every layer reachable until the output
-  tensor is dropped;
+* each layer keeps only its input (the previous layer's activations or
+  their projection), its own output, and one chunk-sized temporary alive —
+  the autodiff forward instead keeps every intermediate of every layer
+  reachable until the output tensor is dropped;
 * each chunk touches only its own rows of the cached normalized propagation
-  CSR (GCN) or its own incoming edges / attention rows (GAT), so the
-  per-chunk working set is bounded by ``chunk_size`` rather than ``N``.
+  CSR (GCN) or its own incoming edges (GAT), so the per-edge GAT message
+  tensor is bounded by ``chunk_size`` rather than ``N``.
 
 The encoder contract is the duck-typed ``layerwise_plan(graph)`` method
 (implemented by :class:`repro.gnn.GCNEncoder` and
-:class:`repro.gnn.GATEncoder` for both the sparse and the dense backend),
-returning ordered *steps* with::
+:class:`repro.gnn.GATEncoder`, one plan for both backends), returning
+ordered *steps* with::
 
     step.out_dim                       # layer output width
-    step.prepare(h, chunk_size)        # per-layer precompute (small buffers)
-    step.compute(h, start, stop)       # output rows [start, stop)
+    source = step.prepare(h)           # h, or its projection of every node
+    step.compute(source, start, stop)  # output rows [start, stop)
     step.finish()                      # release per-layer buffers
 
-Parity with ``encoder.embed`` is tested at 1e-8 for GCN and GAT on both
-backends, including chunk sizes that do not divide ``N``, ``chunk_size=1``,
-and ``chunk_size > N`` (``tests/inference/test_layerwise.py``).
+A step that returns a projection lets the previous layer's activations be
+released before its output is filled.
+
+Parity with the autodiff ``forward`` (in ``eval()`` under ``no_grad``) is
+tested at 1e-8 for GCN and GAT on both backends, including chunk sizes that
+do not divide ``N``, ``chunk_size=1``, and ``chunk_size > N``
+(``tests/inference/test_layerwise.py``).
 """
 
 from __future__ import annotations
@@ -52,12 +57,12 @@ class LayerwiseInference:
         self.chunk_size = chunk_size
 
     def run(self, encoder, graph: Graph) -> np.ndarray:
-        """Deterministic all-node embeddings, equal to ``encoder.embed``."""
+        """Deterministic all-node embeddings of ``encoder`` on ``graph``."""
         plan = getattr(encoder, "layerwise_plan", None)
         if plan is None:
             raise TypeError(
                 f"encoder {type(encoder).__name__} does not implement "
-                "layerwise_plan(graph); use mode='full' inference instead"
+                "layerwise_plan(graph)"
             )
         steps = plan(graph)
         num_nodes = graph.num_nodes
@@ -65,11 +70,15 @@ class LayerwiseInference:
         for index, step in enumerate(steps):
             with _LAYER_SECONDS.time(), \
                     span("inference.layer", layer=index):
-                step.prepare(h, self.chunk_size)
+                # Rebinding ``h`` drops the previous activations when the
+                # step hands back a projection instead; ``out`` is dropped
+                # below so that ``h`` holds the only reference to them.
+                h = step.prepare(h)
                 out = np.empty((num_nodes, step.out_dim), dtype=np.float64)
                 for start in range(0, num_nodes, self.chunk_size):
                     stop = min(start + self.chunk_size, num_nodes)
                     out[start:stop] = step.compute(h, start, stop)
                 step.finish()
                 h = out
+                del out
         return h

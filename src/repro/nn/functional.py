@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .segment import segment_shift
 from .tensor import Tensor, sparse_matmul
 
 __all__ = [
@@ -111,18 +112,9 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     node in ``[0, num_segments)``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    # Subtract the per-segment maximum (computed outside the graph) for
-    # numerical stability.
-    if scores.ndim == 1:
-        seg_max = np.full(num_segments, -np.inf)
-        np.maximum.at(seg_max, segment_ids, scores.data)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        shifted = scores - Tensor(seg_max[segment_ids])
-    else:
-        seg_max = np.full((num_segments, scores.shape[1]), -np.inf)
-        np.maximum.at(seg_max, segment_ids, scores.data)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        shifted = scores - Tensor(seg_max[segment_ids])
+    # Subtract the per-segment maximum (a constant outside the graph) for
+    # numerical stability; numpy twin: :func:`repro.nn.segment.segment_softmax`.
+    shifted = scores - Tensor(segment_shift(scores.data, segment_ids, num_segments))
     exp = shifted.exp()
     denom = exp.scatter_add_rows(segment_ids, num_segments)
     denom_per_edge = denom.gather_rows(segment_ids)

@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
+from .segment import scatter_sum
+
 ArrayLike = Union[np.ndarray, float, int, Sequence[float]]
 
 
@@ -461,9 +463,7 @@ class Tensor:
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, indices, grad)
-            self._accumulate(full)
+            self._accumulate(scatter_sum(grad, indices, shape[0]))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -488,9 +488,7 @@ class Tensor:
         message-passing GNN layers.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        out_shape = (num_rows,) + self.data.shape[1:]
-        out_data = np.zeros(out_shape, dtype=np.float64)
-        np.add.at(out_data, indices, self.data)
+        out_data = scatter_sum(self.data, indices, num_rows)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad[indices])

@@ -134,6 +134,27 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(restored.predict(), clf.predict())
         assert restored.config == clf.config
 
+    @pytest.mark.parametrize("method", ["openima", "orca"])
+    def test_retired_inference_mode_keys_still_load(self, method, tmp_path):
+        # Checkpoints from builds with a selectable inference forward carry
+        # these keys; every mode computed the same embeddings.
+        clf = make_classifier(method, max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        inference = dict(clf.trainer_.config.inference.to_dict(),
+                         mode="full", auto_threshold=32768)
+        self._edit_trainer_section(tmp_path / "ckpt", inference=inference)
+        restored = OpenWorldClassifier.load(tmp_path / "ckpt")
+        assert np.array_equal(restored.predict(), clf.predict())
+        assert restored.config == clf.config
+
+    def test_other_unknown_inference_keys_still_rejected(self, tmp_path):
+        clf = make_classifier(max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        inference = dict(clf.trainer_.config.inference.to_dict(), chunks=4)
+        self._edit_trainer_section(tmp_path / "ckpt", inference=inference)
+        with pytest.raises(ValueError, match="chunks"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
     def test_other_unknown_trainer_keys_still_rejected(self, tmp_path):
         clf = make_classifier(max_epochs=1).fit("citeseer", **TINY)
         clf.save(tmp_path / "ckpt")

@@ -39,7 +39,8 @@ ALL_CONFIGS = [
     fast_config(sampling=SamplingConfig(mode="khop")),
     fast_config(clustering=ClusteringConfig(strategy="minibatch")),
     OpenIMAConfig(eta=2.5, rho=50.0, large_scale=True, num_novel_classes=4),
-    InferenceConfig(mode="layerwise", chunk_size=256, cache=False),
+    InferenceConfig(chunk_size=256, cache=False, partial_refresh=False,
+                    partial_threshold=0.25),
     SBMConfig(num_nodes=120, num_classes=4, homophily=0.7, feature_dim=16),
     ServeConfig(port=0, batch_window_ms=1.5, max_batch=64, warm=False),
     ExperimentConfig(scale=0.25, max_epochs=4, seeds=[1, 2], eval_every=2),

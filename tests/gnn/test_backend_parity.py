@@ -15,6 +15,7 @@ from repro.gnn import build_encoder
 from repro.gnn.gcn import GCNEncoder
 from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
+from tests.oracle import forward_embed
 
 ATOL = 1e-8
 
@@ -138,7 +139,8 @@ def test_gcn_propagation_cache_keyed_by_graph_identity(backend):
         graph = random_graph(seed=seed)  # prior graph freed each iteration
         fresh = GCNEncoder(7, hidden_dim=8, out_dim=4, dropout=0.0, backend=backend,
                            rng=np.random.default_rng(0))
-        np.testing.assert_allclose(encoder.embed(graph), fresh.embed(graph), atol=ATOL)
+        np.testing.assert_allclose(forward_embed(encoder, graph),
+                                   forward_embed(fresh, graph), atol=ATOL)
 
 
 def test_gcn_dense_cache_does_not_pin_graph():
@@ -149,7 +151,7 @@ def test_gcn_dense_cache_does_not_pin_graph():
                          rng=np.random.default_rng(0))
     graph = random_graph()
     ref = weakref.ref(graph)
-    encoder.embed(graph)
+    forward_embed(encoder, graph)
     del graph
     gc.collect()
     assert ref() is None  # the encoder holds only a weak reference
@@ -161,14 +163,14 @@ def test_gcn_sparse_is_default_and_keeps_propagation_sparse():
     graph = random_graph()
     encoder = GCNEncoder(graph.num_features, hidden_dim=8, out_dim=4)
     assert encoder.backend == "sparse"
-    encoder.embed(graph)
+    forward_embed(encoder, graph)
     assert sp.issparse(encoder._cached_propagation)
 
 
 def test_dense_backend_densifies_propagation():
     graph = random_graph()
     encoder = GCNEncoder(graph.num_features, hidden_dim=8, out_dim=4, backend="dense")
-    encoder.embed(graph)
+    forward_embed(encoder, graph)
     assert isinstance(encoder._cached_propagation, np.ndarray)
 
 
@@ -183,8 +185,8 @@ def test_propagation_cache_shared_across_encoders():
     graph = random_graph()
     first = GCNEncoder(graph.num_features, hidden_dim=8, out_dim=4)
     second = GCNEncoder(graph.num_features, hidden_dim=8, out_dim=4)
-    first.embed(graph)
-    second.embed(graph)
+    forward_embed(first, graph)
+    forward_embed(second, graph)
     assert first._cached_propagation is second._cached_propagation
 
 

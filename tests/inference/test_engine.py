@@ -1,4 +1,4 @@
-"""InferenceEngine: mode policy, caching behavior, and config validation."""
+"""InferenceEngine: the layer-wise pass, caching behavior, and config validation."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
 from repro.inference import InferenceEngine
 from repro.nn.optim import Adam
+from tests.oracle import forward_embed
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +32,15 @@ def encoder() -> GCNEncoder:
 class TestConfig:
     def test_defaults(self):
         config = InferenceConfig()
-        assert config.mode == "auto"
-        assert config.cache is True
+        assert config.to_dict() == {"chunk_size": 4096, "cache": True,
+                                    "partial_refresh": True,
+                                    "partial_threshold": 0.5}
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="inference mode"):
+        """The retired ``mode`` key is rejected like any unknown key."""
+        with pytest.raises(ValueError, match="unknown InferenceConfig keys"):
+            InferenceConfig.from_dict({"mode": "layerwise"})
+        with pytest.raises(TypeError, match="mode"):
             InferenceConfig(mode="chunky")
 
     def test_bad_chunk_size_rejected(self):
@@ -44,7 +49,7 @@ class TestConfig:
 
     def test_round_trip_inside_trainer_config(self):
         config = TrainerConfig(
-            inference=InferenceConfig(mode="layerwise", chunk_size=123, cache=False))
+            inference=InferenceConfig(chunk_size=123, cache=False))
         restored = TrainerConfig.from_dict(config.to_dict())
         assert restored.inference == config.inference
 
@@ -55,44 +60,24 @@ class TestConfig:
         assert TrainerConfig.from_dict(data).inference == InferenceConfig()
 
 
-class TestModePolicy:
-    def test_explicit_modes(self, encoder, graph):
-        assert InferenceEngine(InferenceConfig(mode="full")).resolve_mode(
-            encoder, graph) == "full"
-        assert InferenceEngine(InferenceConfig(mode="layerwise")).resolve_mode(
-            encoder, graph) == "layerwise"
-
-    def test_auto_switches_on_graph_size(self, encoder, graph):
-        small = InferenceEngine(InferenceConfig(mode="auto", auto_threshold=1000))
-        large = InferenceEngine(InferenceConfig(mode="auto", auto_threshold=10))
-        assert small.resolve_mode(encoder, graph) == "full"
-        assert large.resolve_mode(encoder, graph) == "layerwise"
-
-    def test_auto_falls_back_without_layerwise_plan(self, graph):
-        class PlanlessEncoder:
-            def embed(self, graph):
-                return np.zeros((graph.num_nodes, 2))
-
-        engine = InferenceEngine(InferenceConfig(mode="auto", auto_threshold=1))
-        assert engine.resolve_mode(PlanlessEncoder(), graph) == "full"
-
-
 class TestEmbeddings:
-    @pytest.mark.parametrize("mode", ["full", "layerwise"])
+    @pytest.mark.parametrize("reference", ["full", "layerwise"])
     @pytest.mark.parametrize("encoder_kind", ["gcn", "gat"])
-    def test_matches_embed(self, graph, mode, encoder_kind):
+    def test_matches_embed(self, graph, reference, encoder_kind):
+        """Equal to the autodiff forward and to ``embed`` (its default chunk)."""
         if encoder_kind == "gcn":
             enc = GCNEncoder(8, hidden_dim=6, out_dim=4, dropout=0.0,
                              rng=np.random.default_rng(0))
         else:
             enc = GATEncoder(8, hidden_dim=6, out_dim=4, num_heads=2,
                              dropout=0.0, rng=np.random.default_rng(0))
-        engine = InferenceEngine(InferenceConfig(mode=mode, chunk_size=7))
+        engine = InferenceEngine(InferenceConfig(chunk_size=7))
+        expected = forward_embed(enc, graph) if reference == "full" else enc.embed(graph)
         np.testing.assert_allclose(engine.embeddings(enc, graph),
-                                   enc.embed(graph), rtol=0.0, atol=1e-8)
+                                   expected, rtol=0.0, atol=1e-8)
 
     def test_repeated_calls_use_cache(self, encoder, graph):
-        engine = InferenceEngine(InferenceConfig(mode="full"))
+        engine = InferenceEngine()
         first = engine.embeddings(encoder, graph)
         second = engine.embeddings(encoder, graph)
         assert first is second
@@ -100,7 +85,7 @@ class TestEmbeddings:
         assert engine.cache_hits == 1
 
     def test_parameter_update_forces_recompute(self, encoder, graph):
-        engine = InferenceEngine(InferenceConfig(mode="full"))
+        engine = InferenceEngine()
         first = engine.embeddings(encoder, graph)
         out = encoder(graph)
         (out * out).sum().backward()
@@ -110,7 +95,7 @@ class TestEmbeddings:
         assert np.abs(np.asarray(first) - np.asarray(second)).max() > 0
 
     def test_cache_disabled_recomputes_every_call(self, encoder, graph):
-        engine = InferenceEngine(InferenceConfig(mode="full", cache=False))
+        engine = InferenceEngine(InferenceConfig(cache=False))
         engine.embeddings(encoder, graph)
         engine.embeddings(encoder, graph)
         assert engine.forward_count == 2

@@ -1,8 +1,10 @@
-"""Layer-wise inference parity: chunked numpy evaluation vs ``encoder.embed``.
+"""Layer-wise inference parity: chunked numpy evaluation vs the autodiff forward.
 
-The acceptance bar is 1e-8 agreement for GCN and GAT on both backends,
-including chunk sizes that do not divide the node count, ``chunk_size=1``,
-and ``chunk_size > N``.
+The layer-wise plan is every encoder's only no-grad forward
+(``encoder.embed``).  The acceptance bar is 1e-8 agreement with the
+autodiff ``forward`` in ``eval()`` under ``no_grad`` for GCN and GAT on
+both backends, including chunk sizes that do not divide the node count,
+``chunk_size=1``, and ``chunk_size > N``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from repro.gnn import GATEncoder, GCNEncoder
 from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
 from repro.inference import LayerwiseInference
+from tests.oracle import forward_embed
 
 NUM_NODES = 97  # deliberately prime so no aligned chunk size divides it
 NUM_FEATURES = 12
@@ -54,7 +57,7 @@ def build_encoder(kind: str, backend: str):
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_layerwise_matches_full_embed(graph, kind, backend, chunk_size):
     encoder = build_encoder(kind, backend)
-    full = encoder.embed(graph)
+    full = forward_embed(encoder, graph)
     layerwise = LayerwiseInference(chunk_size=chunk_size).run(encoder, graph)
     np.testing.assert_allclose(layerwise, full, rtol=0.0, atol=1e-8)
 
@@ -65,8 +68,9 @@ def test_layerwise_ignores_training_mode_dropout(graph, kind):
     encoder = build_encoder(kind, "sparse")
     encoder.train()
     layerwise = LayerwiseInference(chunk_size=13).run(encoder, graph)
-    np.testing.assert_allclose(layerwise, encoder.embed(graph),
+    np.testing.assert_allclose(layerwise, forward_embed(encoder, graph),
                                rtol=0.0, atol=1e-8)
+    assert encoder.training
 
 
 def test_isolated_node_matches_full(graph):
@@ -77,7 +81,7 @@ def test_isolated_node_matches_full(graph):
     for kind in ("gcn", "gat"):
         encoder = build_encoder(kind, "sparse")
         layerwise = LayerwiseInference(chunk_size=4).run(encoder, isolated)
-        np.testing.assert_allclose(layerwise, encoder.embed(isolated),
+        np.testing.assert_allclose(layerwise, forward_embed(encoder, isolated),
                                    rtol=0.0, atol=1e-8)
 
 

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import InferenceConfig
 from repro.gnn.gat import GATEncoder
@@ -56,7 +58,7 @@ def make_encoder(kind: str, backend: str, seed=0):
 
 
 def make_engine(**overrides) -> InferenceEngine:
-    defaults = dict(mode="full", partial_refresh=True, partial_threshold=1.0)
+    defaults = dict(partial_refresh=True, partial_threshold=1.0)
     defaults.update(overrides)
     return InferenceEngine(InferenceConfig(**defaults))
 
@@ -97,6 +99,51 @@ class TestParity:
         patched = engine.refresh_after_delta(encoder, graph, report)
         untouched = np.setdiff1d(np.arange(before.shape[0]), report.affected)
         assert np.array_equal(patched[untouched], before[untouched])
+
+
+#: One delta: (new nodes, undirected edges, seed).  A delta without new
+#: nodes only adds edges between existing nodes (duplicates and self loops
+#: included); one with new nodes anchors each to a random node first.
+DELTA_STEPS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=5)
+
+
+def generated_delta(num_nodes: int, num_new: int, num_edges: int,
+                    seed: int) -> GraphDelta:
+    rng = np.random.default_rng(seed)
+    total = num_nodes + num_new
+    anchors = np.vstack([np.arange(num_nodes, total),
+                         rng.integers(num_nodes, size=num_new)])
+    extra = rng.integers(total, size=(2, num_edges))
+    return GraphDelta.undirected(
+        add_features=rng.normal(size=(num_new, NUM_FEATURES)),
+        add_edges=np.hstack([anchors, extra]),
+    )
+
+
+class TestGeneratedDeltaSequences:
+    """Any sequence of deltas: patched embeddings equal a rebuild from scratch."""
+
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    @settings(max_examples=50, deadline=None)
+    @given(steps=DELTA_STEPS)
+    def test_refresh_equals_embed_of_final_graph(self, kind, steps):
+        graph = make_graph(num_nodes=40, avg_degree=3, seed=len(steps))
+        encoder = make_encoder(kind, "sparse", seed=1)
+        engine = make_engine()
+        engine.embeddings(encoder, graph)
+        dynamic = DynamicGraph(graph, num_hops=encoder.num_message_passing_layers)
+        for num_new, num_edges, seed in steps:
+            report = dynamic.apply(
+                generated_delta(graph.num_nodes, num_new, num_edges, seed))
+            patched = engine.refresh_after_delta(encoder, graph, report)
+        assert engine.full_refresh_count == 0
+        assert engine.forward_count == 1
+        rebuilt = Graph(features=graph.features.copy(),
+                        edge_index=graph.edge_index.copy())
+        np.testing.assert_allclose(patched, encoder.embed(rebuilt),
+                                   rtol=0.0, atol=1e-8)
 
 
 class TestFallbacks:

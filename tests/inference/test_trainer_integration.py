@@ -16,6 +16,7 @@ from repro.baselines.two_stage import InfoNCETrainer
 from repro.core.callbacks import Callback
 from repro.core.config import InferenceConfig, OpenIMAConfig, fast_config
 from repro.core.openima import OpenIMATrainer
+from tests.oracle import forward_embed
 
 
 def make_config(max_epochs: int = 2, eval_every: int = 0, **inference_kwargs):
@@ -94,42 +95,43 @@ class TestLayerwiseTrainer:
     def test_layerwise_mode_matches_full_embeddings(self, small_dataset):
         trainer = InfoNCETrainer(small_dataset, make_config(max_epochs=1))
         trainer.fit()
-        full = np.array(trainer.node_embeddings())
-        trainer.configure_inference(InferenceConfig(mode="layerwise", chunk_size=37))
+        full = forward_embed(trainer.encoder, small_dataset.graph)
+        np.testing.assert_allclose(trainer.node_embeddings(), full,
+                                   rtol=0.0, atol=1e-8)
+        trainer.configure_inference(InferenceConfig(chunk_size=37))
         layerwise = trainer.node_embeddings()
         np.testing.assert_allclose(layerwise, full, rtol=0.0, atol=1e-8)
 
     def test_configure_inference_updates_config(self, small_dataset):
         trainer = InfoNCETrainer(small_dataset, make_config())
-        trainer.configure_inference(InferenceConfig(mode="layerwise"))
-        assert trainer.config.inference.mode == "layerwise"
-        assert trainer.inference_engine.config.mode == "layerwise"
+        trainer.configure_inference(InferenceConfig(chunk_size=37))
+        assert trainer.config.inference.chunk_size == 37
+        assert trainer.inference_engine.config.chunk_size == 37
 
     def test_configure_inference_syncs_openima_config(self, small_dataset):
         trainer = OpenIMATrainer(
             small_dataset, OpenIMAConfig(trainer=make_config()))
-        trainer.configure_inference(InferenceConfig(mode="layerwise"))
-        assert trainer.full_config.trainer.inference.mode == "layerwise"
+        trainer.configure_inference(InferenceConfig(chunk_size=37))
+        assert trainer.full_config.trainer.inference.chunk_size == 37
 
 
 class TestCheckpointPersistence:
     def test_manifest_records_inference_config(self, small_dataset, tmp_path):
         trainer = InfoNCETrainer(
             small_dataset,
-            make_config(max_epochs=1, mode="layerwise", chunk_size=77, cache=False),
+            make_config(max_epochs=1, chunk_size=77, cache=False),
         )
         trainer.fit()
         save_trainer_checkpoint(trainer, tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         assert manifest["config"]["inference"] == {
-            "mode": "layerwise", "chunk_size": 77, "cache": False,
-            "auto_threshold": 32768, "partial_refresh": True,
+            "chunk_size": 77, "cache": False, "partial_refresh": True,
             "partial_threshold": 0.5,
         }
         restored, _ = load_trainer_checkpoint(tmp_path / "ckpt",
                                               dataset=small_dataset)
         assert restored.config.inference == trainer.config.inference
-        assert restored.inference_engine.config.mode == "layerwise"
+        assert restored.inference_engine.config.chunk_size == 77
 
     def test_legacy_manifest_without_inference_section_loads(
             self, small_dataset, tmp_path):
@@ -162,12 +164,12 @@ class TestClassifierFacade:
         clf = OpenWorldClassifier("infonce", config=make_config(max_epochs=1))
         clf.fit(small_dataset)
         full = np.array(clf.embed())
-        clf.configure_inference({"mode": "layerwise", "chunk_size": 19})
-        assert clf.config.inference.mode == "layerwise"
+        clf.configure_inference({"chunk_size": 19})
+        assert clf.config.inference.chunk_size == 19
         np.testing.assert_allclose(clf.embed(), full, rtol=0.0, atol=1e-8)
 
     def test_configure_inference_rejects_unknown_keys(self, small_dataset):
         clf = OpenWorldClassifier("infonce", config=make_config(max_epochs=1))
         clf.fit(small_dataset)
         with pytest.raises(ValueError, match="unknown"):
-            clf.configure_inference({"mode": "layerwise", "chunks": 4})
+            clf.configure_inference({"chunk_size": 19, "chunks": 4})

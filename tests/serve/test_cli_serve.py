@@ -31,7 +31,7 @@ class TestParsing:
         args = build_parser().parse_args([
             "serve", str(tmp_path), "--host", "0.0.0.0", "--port", "0",
             "--batch-window-ms", "5", "--max-batch", "64", "--no-warm",
-            "--set", "inference.mode=layerwise",
+            "--set", "inference.chunk_size=8192",
             "--set", "clustering.strategy=minibatch",
         ])
         assert args.port == 0
