@@ -13,31 +13,45 @@ from typing import Optional
 import numpy as np
 
 from ..nn import functional as F
+from ..nn.segment import scatter_sum
 from ..nn.tensor import Tensor, cat
 
 
-def _positive_mask(group_ids: np.ndarray) -> np.ndarray:
-    """Positive-pair mask for a batch of 2N augmented points.
+class _PositiveSums:
+    """Sums over each row's positive set, from group sums instead of a mask.
 
     ``group_ids`` has length 2N; the two views of node ``i`` occupy rows
-    ``i`` and ``i + N``.  Two rows are positives if they share a non-negative
-    group id, or if they are the two views of the same node (always).  The
-    diagonal is excluded.
+    ``i`` and ``i + N``.  Row ``i``'s positives ``P(i)`` are every other row
+    sharing its non-negative group id, plus its other view (always; the
+    SimCSE pair), never ``i`` itself.  So ``sum_{j in P(i)} v_j`` is the sum
+    of ``v`` over row ``i``'s group, minus ``v_i``, plus the other view's
+    ``v`` when that view is not already in the group — one
+    :func:`~repro.nn.segment.scatter_sum` and two gathers instead of a
+    2N x 2N mask.
     """
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    total = group_ids.shape[0]
-    if total % 2 != 0:
-        raise ValueError("expected an even number of augmented samples (2N)")
-    half = total // 2
-    same_group = (group_ids[:, None] == group_ids[None, :]) & (group_ids[:, None] >= 0)
-    # The two dropout views of the same node are always positives (SimCSE).
-    view_pair = np.zeros((total, total), dtype=bool)
-    idx = np.arange(half)
-    view_pair[idx, idx + half] = True
-    view_pair[idx + half, idx] = True
-    mask = same_group | view_pair
-    np.fill_diagonal(mask, False)
-    return mask
+
+    def __init__(self, group_ids: np.ndarray):
+        ids = np.asarray(group_ids, dtype=np.int64)
+        total = ids.shape[0]
+        if total % 2 != 0:
+            raise ValueError("expected an even number of augmented samples (2N)")
+        self.partner = np.roll(np.arange(total), total // 2)
+        self.grouped = np.flatnonzero(ids >= 0)
+        # Compact the (possibly sparse, large) ids to 0..G-1 for the sums.
+        uniques, self.group_of = np.unique(ids[self.grouped], return_inverse=True)
+        self.num_groups = uniques.shape[0]
+        self.partner_outside = (ids < 0) | (ids[self.partner] != ids)
+        #: ``|P(i)|``: the group's other members plus an outside partner.
+        self.counts = self.partner_outside.astype(np.float64)
+        self.counts[self.grouped] += np.bincount(self.group_of)[self.group_of] - 1
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """``out[i] = sum_{j in P(i)} values[j]`` for (2N, d) ``values``."""
+        out = values[self.partner] * self.partner_outside[:, None]
+        members = values[self.grouped]
+        sums = scatter_sum(members, self.group_of, self.num_groups)
+        out[self.grouped] += sums[self.group_of] - members
+        return out
 
 
 def supervised_contrastive_loss(
@@ -57,25 +71,49 @@ def supervised_contrastive_loss(
 
     ``features`` must already be L2-normalized; pass embeddings for the
     embedding-level loss or normalized logits for the logit-level loss.
+
+    The loss is one autodiff node.  With ``X`` the (2N, d) features,
+    ``S = X X^T / tau`` with the diagonal excluded, ``A = softmax(S)`` row
+    by row and ``M`` the positive-pair indicator,
+
+        loss = -mean_i( <x_i, (M X)_i> / (tau |P(i)|) - logsumexp_j S_ij )
+        dX   = g / (2N tau) * (A X + A^T X - (M X) / |P| - M (X / |P|))
+
+    ``M`` is never built: ``M V`` comes from per-group sums of ``V``
+    (:class:`_PositiveSums`), so the only 2N x 2N array is ``S``, turned
+    into ``A`` in place and kept for the backward, which reads it without
+    writing (calling the backward twice gives the same gradient).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    total = features.shape[0]
-    mask = _positive_mask(group_ids)
-    positive_counts = mask.sum(axis=1)
-    if (positive_counts == 0).any():
-        raise RuntimeError("every sample must have at least one positive (its other view)")
+    positive_sums = _PositiveSums(group_ids)
+    counts = positive_sums.counts
+    x = features.data
+    total = x.shape[0]
 
-    similarities = features.matmul(features.transpose()) * (1.0 / temperature)
-    # Exclude self-similarity from the softmax denominator.
-    diag_mask = np.zeros((total, total))
-    np.fill_diagonal(diag_mask, -1e9)
-    logits = similarities + Tensor(diag_mask)
-    log_prob = F.log_softmax(logits, axis=1)
+    # S = X X^T / tau in one buffer; self-similarity leaves the softmax.
+    softmax = (x * (1.0 / temperature)) @ x.T
+    np.fill_diagonal(softmax, -np.inf)
+    row_max = softmax.max(axis=1, keepdims=True)
+    softmax -= row_max
+    np.exp(softmax, out=softmax)
+    normalizer = softmax.sum(axis=1, keepdims=True)
+    softmax /= normalizer
+    log_sum_exp = (row_max + np.log(normalizer))[:, 0]
 
-    positives = (log_prob * Tensor(mask.astype(np.float64))).sum(axis=1)
-    per_sample = positives * Tensor(1.0 / positive_counts)
-    return -per_sample.mean()
+    positives = positive_sums(x)
+    per_sample = np.einsum("ij,ij->i", x, positives) / (temperature * counts) - log_sum_exp
+    loss = -per_sample.mean()
+
+    def backward(grad: np.ndarray) -> None:
+        dx = softmax @ x
+        dx += softmax.T @ x
+        dx -= positives / counts[:, None]
+        dx -= positive_sums(x / counts[:, None])
+        dx *= grad / (total * temperature)
+        features._accumulate(dx)
+
+    return Tensor._make(np.asarray(loss), (features,), backward)
 
 
 def info_nce_loss(features: Tensor, temperature: float = 0.7) -> Tensor:

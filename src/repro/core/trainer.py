@@ -287,10 +287,14 @@ class GraphTrainer:
     def _train_step(self, batch_nodes: np.ndarray) -> float:
         with _obs_span("train.step", batch=len(batch_nodes)):
             self.optimizer.zero_grad()
-            view1, view2 = self._batch_views(batch_nodes)
-            loss = self.compute_loss(view1, view2, batch_nodes)
-            loss.backward()
-            self.optimizer.step()
+            with _obs_span("train.forward"):
+                view1, view2 = self._batch_views(batch_nodes)
+            with _obs_span("train.loss"):
+                loss = self.compute_loss(view1, view2, batch_nodes)
+            with _obs_span("train.backward"):
+                loss.backward()
+            with _obs_span("train.optimizer"):
+                self.optimizer.step()
             return float(loss.data)
 
     def _batch_views(self, batch_nodes: np.ndarray) -> tuple:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.losses import (
-    _positive_mask,
     bpcl_loss,
     concat_views,
     confidence_pseudo_label_loss,
@@ -20,6 +23,8 @@ from repro.core.losses import (
 )
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from tests.nn.gradcheck import gradcheck
+from tests.oracle import positive_mask, supcon_reference
 
 
 def normalized_features(array):
@@ -27,8 +32,10 @@ def normalized_features(array):
 
 
 class TestPositiveMask:
+    """The oracle's explicit mask, which the fused loss never builds."""
+
     def test_view_pairs_always_positive(self):
-        mask = _positive_mask(np.array([-1, -1, -1, -1]))
+        mask = positive_mask(np.array([-1, -1, -1, -1]))
         assert mask[0, 2] and mask[2, 0]
         assert mask[1, 3] and mask[3, 1]
         assert not mask[0, 1]
@@ -36,19 +43,19 @@ class TestPositiveMask:
 
     def test_shared_group_ids_are_positive(self):
         # Nodes 0 and 1 share class 5; their four views are mutual positives.
-        mask = _positive_mask(np.array([5, 5, -1, 5, 5, -1]))
+        mask = positive_mask(np.array([5, 5, -1, 5, 5, -1]))
         assert mask[0, 1] and mask[0, 3] and mask[0, 4]
         assert not mask[0, 2] and not mask[0, 5]
         assert mask[2, 5] and mask[5, 2]  # unlabeled node's own views
 
     def test_negative_ids_never_group(self):
-        mask = _positive_mask(np.array([-1, -1, -1, -1, -1, -1]))
+        mask = positive_mask(np.array([-1, -1, -1, -1, -1, -1]))
         # Only the view pairs are positives.
         assert mask.sum() == 6  # 3 nodes x 2 directions
 
     def test_odd_length_raises(self):
         with pytest.raises(ValueError):
-            _positive_mask(np.array([0, 1, 2]))
+            positive_mask(np.array([0, 1, 2]))
 
 
 class TestSupervisedContrastiveLoss:
@@ -102,6 +109,99 @@ class TestSupervisedContrastiveLoss:
         assert info_nce_loss(features, 0.7).item() == pytest.approx(
             supervised_contrastive_loss(features, np.array([-1] * 4), 0.7).item()
         )
+
+
+#: Group-id layouts of a 2N batch, as the fused loss's parity cases.
+ID_LAYOUTS = ("symmetric", "asymmetric", "unlabeled", "single_group", "sparse_large")
+
+
+def group_ids_for(layout: str, half: int, rng: np.random.Generator) -> np.ndarray:
+    """Length-2N group ids; rows ``i`` and ``i + N`` are one node's views."""
+    if layout == "symmetric":
+        return np.tile(rng.integers(-1, 3, size=half), 2)
+    if layout == "asymmetric":
+        return rng.integers(-1, 3, size=2 * half)
+    if layout == "unlabeled":
+        return -np.ones(2 * half, dtype=np.int64)
+    if layout == "single_group":
+        return np.full(2 * half, 4, dtype=np.int64)
+    return rng.choice(np.array([-7, 0, 10**9, 2**62]), size=2 * half)
+
+
+def loss_and_grad(loss_fn, features: np.ndarray, group_ids, temperature):
+    leaf = Tensor(features, requires_grad=True)
+    loss = loss_fn(leaf, group_ids, temperature)
+    loss.backward()
+    return loss.item(), leaf.grad
+
+
+class TestFusedSupervisedContrastiveLoss:
+    """The one-node fused loss against the autodiff composition oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=st.sampled_from(ID_LAYOUTS), half=st.integers(1, 12),
+           dim=st.integers(1, 6), temperature=st.floats(0.05, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(layout="asymmetric", half=1, dim=3, temperature=0.05, seed=0)
+    @example(layout="sparse_large", half=1, dim=2, temperature=2.0, seed=1)
+    def test_matches_oracle(self, layout, half, dim, temperature, seed):
+        rng = np.random.default_rng(seed)
+        features = normalized_features(rng.normal(size=(2 * half, dim))).data
+        group_ids = group_ids_for(layout, half, rng)
+        loss, grad = loss_and_grad(supervised_contrastive_loss, features,
+                                   group_ids, temperature)
+        expected_loss, expected_grad = loss_and_grad(supcon_reference, features,
+                                                     group_ids, temperature)
+        assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
+
+    def test_odd_length_raises(self):
+        with pytest.raises(ValueError):
+            supervised_contrastive_loss(normalized_features(np.eye(3)), np.array([0, 1, 2]))
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(7)
+        features = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        loss = supervised_contrastive_loss(features, np.array([0, 1, -1, 1, 0, -1]))
+        assert loss._parents == (features,)
+
+    @pytest.mark.parametrize("group_ids", [
+        [0, 1, -1, 0, 1, -1],   # symmetric
+        [0, 1, 2, 1, 0, -1],    # the two views of a node disagree
+    ])
+    def test_gradcheck_through_l2_normalize(self, group_ids):
+        rng = np.random.default_rng(8)
+        ids = np.array(group_ids)
+        assert gradcheck(
+            lambda raw: supervised_contrastive_loss(F.l2_normalize(raw), ids, 0.5),
+            [rng.normal(size=(6, 4))])
+
+    def test_backward_is_reentrant(self):
+        rng = np.random.default_rng(9)
+        features = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        loss = supervised_contrastive_loss(features, np.array([0, 0, 1, -1, 0, 2, 1, -1]))
+        grads = []
+        for _ in range(2):
+            features.zero_grad()
+            loss._backward(np.ones(()))
+            grads.append(features.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_peak_memory_is_about_one_similarity_matrix(self):
+        # The composition held 17 (2N)^2 float64 arrays at its peak; the
+        # fused op keeps one similarity/softmax buffer.
+        rng = np.random.default_rng(10)
+        total, dim = 1024, 64
+        features = Tensor(normalized_features(rng.normal(size=(total, dim))).data,
+                          requires_grad=True)
+        group_ids = np.tile(rng.integers(-1, 8, size=total // 2), 2)
+        tracemalloc.start()
+        try:
+            supervised_contrastive_loss(features, group_ids).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * total * total * 8
 
 
 class TestCrossEntropyVariants:
