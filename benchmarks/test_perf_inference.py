@@ -10,7 +10,7 @@ layer by layer in node chunks: only the previous layer's activations, the
 layer being filled, its projection, and a chunk-sized temporary are alive,
 with embeddings matching the autodiff forward to 1e-8.
 
-Measured here for a GCN (sparse backend, hidden 64 -> out 32) and a GAT
+Measured here for a GCN (hidden 64 -> out 32) and a GAT
 (8 heads) at 10k and 50k nodes: warm-pass wall-clock (best-of-``REPEATS``)
 and the tracemalloc high-water mark of one warm pass (propagation/attention
 caches pre-built by a warm-up pass, so the peak is the pass itself, not

@@ -8,7 +8,7 @@ rebuild + a whole-graph pass).  At 50k nodes the affected ball is a few
 hundred nodes, so the partial path must win by a wide margin — the
 acceptance criterion is **>= 5x** mean per-delta speedup with embeddings
 matching the full recompute to 1e-8 (checked for GCN at the headline size
-and for GAT at a smaller size, both sparse backend).
+and for GAT at a smaller size).
 
 Results are written to ``benchmarks/results/perf_streaming.txt``.
 """

@@ -161,12 +161,13 @@ def _drop_retired_config_keys(config: dict) -> dict:
     """``config`` without the trainer section's retired keys.
 
     Checkpoints written before the multi-core execution layer was removed
-    carry ``parallel`` settings in their trainer config, and those written
+    carry ``parallel`` settings in their trainer config, those written
     before the layer-wise forward became the only inference pass carry
-    ``inference.mode`` and ``inference.auto_threshold`` (top level for
-    baselines, under ``trainer`` for OpenIMA).  None of them changes
-    results, so they are dropped here and ``from_dict`` stays strict for
-    every other field.
+    ``inference.mode`` and ``inference.auto_threshold``, and those written
+    before the edge-list message passing became the only one carry
+    ``encoder.backend`` (top level for baselines, under ``trainer`` for
+    OpenIMA).  None of them changes results, so they are dropped here and
+    ``from_dict`` stays strict for every other field.
     """
     trainer = config.get("trainer", config)
     trainer.pop("parallel", None)
@@ -174,6 +175,9 @@ def _drop_retired_config_keys(config: dict) -> dict:
     if isinstance(inference, dict):
         for key in ("mode", "auto_threshold"):
             inference.pop(key, None)
+    encoder = trainer.get("encoder")
+    if isinstance(encoder, dict):
+        encoder.pop("backend", None)
     return config
 
 

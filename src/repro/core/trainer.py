@@ -75,7 +75,6 @@ class GraphTrainer:
             out_dim=config.encoder.out_dim,
             dropout=config.encoder.dropout,
             num_heads=config.encoder.num_heads,
-            backend=config.encoder.backend,
             rng=self.rng,
         )
         self.head = ClassificationHead(

@@ -129,7 +129,6 @@ class ExperimentConfig(SerializableConfig):
     seeds: Sequence[int] = (0,)
     labels_per_class: Optional[int] = None
     end_to_end_epochs: Optional[int] = None
-    backend: str = "sparse"
     eval_every: int = 0
     sampling_mode: str = "full"
     n_jobs: int = 1
@@ -158,7 +157,6 @@ class ExperimentConfig(SerializableConfig):
             seed=seed,
             encoder_kind=self.encoder_kind,
             batch_size=self.batch_size,
-            backend=self.backend,
             eval_every=self.eval_every,
             sampling=SamplingConfig(mode=self.sampling_mode),
         )

@@ -1,4 +1,4 @@
-"""Message-passing backend registry and the encoder base shared by every GNN."""
+"""The encoder base shared by every GNN."""
 
 from __future__ import annotations
 
@@ -6,17 +6,6 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..nn.layers import Module
-
-#: Valid values for the encoder ``backend`` argument: ``"sparse"`` runs the
-#: edge-list / CSR propagation fast path, ``"dense"`` the O(N^2) reference.
-BACKENDS = ("sparse", "dense")
-
-
-def check_backend(backend: str) -> str:
-    """Validate a backend name, returning it unchanged."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
 
 
 class GNNEncoder(Module):
@@ -31,8 +20,7 @@ class GNNEncoder(Module):
         """Deterministic all-node embeddings (dropout off) as a numpy array.
 
         Runs :class:`repro.inference.LayerwiseInference` over
-        :meth:`layerwise_plan` on both backends; the training mode is left
-        unchanged.
+        :meth:`layerwise_plan`; the training mode is left unchanged.
         """
         # Imported here: repro.inference imports repro.core, which imports
         # this package.

@@ -11,18 +11,13 @@ edge-index representation:
 4. Aggregate ``z_j = sum_i alpha_ij h_i`` and apply ELU; heads are
    concatenated (hidden layers) or averaged (output layer).
 
-Backends
---------
-``backend="sparse"`` (default) evaluates attention on the edge list with
-segment gather/scatter primitives, vectorized across all heads in a single
-batched projection: O(E * H * d) time and memory, where ``E`` is the number
-of edges (incl. self loops), ``H`` the head count, and ``d`` the per-head
-width.  ``backend="dense"`` materializes the per-head N x N attention matrix
-(masked softmax + dense matmul); it is O(N^2) and exists as the reference
-implementation for the parity tests in ``tests/gnn/test_backend_parity.py``.
-The backend selects the training forward only: :meth:`GATEncoder.embed`
-runs the edge-list layer-wise plan on both, which computes the same
-function to 1e-8.
+Attention is evaluated on the edge list with segment gather/scatter
+primitives, vectorized across all heads in a single batched projection:
+O(E * H * d) time and memory, where ``E`` is the number of edges (incl. self
+loops), ``H`` the head count, and ``d`` the per-head width.  The training
+forward is an autodiff composition; :meth:`GATEncoder.embed` runs the
+edge-list layer-wise plan, which computes the same function to 1e-8.  The
+tests' reference is a per-head masked N x N attention (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -37,31 +32,8 @@ from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
 from ..nn.segment import scatter_sum, segment_softmax
-from ..nn.tensor import Tensor, cat
-from .backends import GNNEncoder, check_backend
-
-
-def _dense_attention_mask(src: np.ndarray, dst: np.ndarray,
-                          num_nodes: int) -> tuple:
-    """The dense backend's additive attention mask and row gate.
-
-    The mask is log(multiplicity): 0 on single edges, -inf on non-edges, so
-    the row softmax over sources matches the segment softmax over incoming
-    edges — a duplicated directed edge carries its attention mass once per
-    copy, exactly like the edge list.  Rows of nodes with no incoming edges
-    would softmax to 0/0 = NaN; they are left unmasked here and zeroed
-    through the returned row gate instead, matching the all-zero rows the
-    sparse scatter-add produces.
-    """
-    multiplicity = np.zeros((num_nodes, num_nodes))
-    np.add.at(multiplicity, (dst, src), 1.0)
-    with np.errstate(divide="ignore"):
-        mask = np.log(multiplicity)
-    has_incoming = np.zeros(num_nodes, dtype=bool)
-    has_incoming[dst] = True
-    mask[~has_incoming] = 0.0
-    row_gate = has_incoming.astype(np.float64).reshape(-1, 1)
-    return mask, row_gate
+from ..nn.tensor import Tensor
+from .encoder import GNNEncoder
 
 
 class GATLayer(Module):
@@ -75,7 +47,6 @@ class GATLayer(Module):
         concat_heads: bool = True,
         dropout: float = 0.5,
         negative_slope: float = 0.2,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -85,7 +56,6 @@ class GATLayer(Module):
         self.num_heads = num_heads
         self.concat_heads = concat_heads
         self.negative_slope = negative_slope
-        self.backend = check_backend(backend)
         # One projection and one attention vector pair per head, stored as a
         # single parameter tensor for efficiency.
         self.weight = Parameter(
@@ -103,13 +73,8 @@ class GATLayer(Module):
         return self.out_features
 
     def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        x = self.feat_dropout(x)
-        if self.backend == "dense":
-            return self._forward_dense(x, edge_index, num_nodes)
-        return self._forward_sparse(x, edge_index, num_nodes)
-
-    def _forward_sparse(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
         """Edge-list attention, vectorized over every head at once."""
+        x = self.feat_dropout(x)
         src, dst = edge_index
 
         # (N, F) @ (H, F, O) -> (H, N, O) -> (N, H, O): one batched matmul
@@ -131,43 +96,13 @@ class GATLayer(Module):
             return aggregated.reshape(num_nodes, self.num_heads * self.out_features)
         return aggregated.mean(axis=1)
 
-    def _forward_dense(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        """Reference path: per-head masked N x N attention (O(N^2) memory)."""
-        src, dst = edge_index
-        mask, row_gate_np = _dense_attention_mask(src, dst, num_nodes)
-        row_gate = Tensor(row_gate_np)
-
-        head_outputs = []
-        for head in range(self.num_heads):
-            weight_h = self.weight[head]
-            att_src_h = self.att_src[head].reshape(-1, 1)
-            att_dst_h = self.att_dst[head].reshape(-1, 1)
-
-            projected = x.matmul(weight_h)  # (N, O)
-            score_src = projected.matmul(att_src_h).reshape(1, -1)  # (1, N)
-            score_dst = projected.matmul(att_dst_h).reshape(-1, 1)  # (N, 1)
-
-            # logits[j, i] = LeakyReLU(a_src . h_i + a_dst . h_j)
-            logits = (score_src + score_dst).leaky_relu(self.negative_slope)
-            alpha = F.softmax(logits + Tensor(mask), axis=-1) * row_gate
-            alpha = self.att_dropout(alpha)
-            head_outputs.append(alpha.matmul(projected))
-
-        if self.concat_heads:
-            return cat(head_outputs, axis=1)
-        stacked = head_outputs[0]
-        for other in head_outputs[1:]:
-            stacked = stacked + other
-        return stacked * (1.0 / self.num_heads)
-
 
 class GATEncoder(GNNEncoder):
     """Two-layer GAT encoder producing node representations.
 
     The first layer concatenates its heads and applies ELU; the second layer
     averages its heads, matching the paper's configuration (2 layers, 8
-    heads, hidden dim 128, dropout 0.5).  ``backend`` selects the sparse
-    edge-list attention (default) or the dense reference implementation.
+    heads, hidden dim 128, dropout 0.5).
     """
 
     def __init__(
@@ -177,12 +112,10 @@ class GATEncoder(GNNEncoder):
         out_dim: int = 64,
         num_heads: int = 8,
         dropout: float = 0.5,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        self.backend = check_backend(backend)
         per_head_hidden = max(1, hidden_dim // num_heads)
         self.layer1 = GATLayer(
             in_features,
@@ -190,7 +123,6 @@ class GATEncoder(GNNEncoder):
             num_heads=num_heads,
             concat_heads=True,
             dropout=dropout,
-            backend=backend,
             rng=rng,
         )
         self.layer2 = GATLayer(
@@ -199,7 +131,6 @@ class GATEncoder(GNNEncoder):
             num_heads=num_heads,
             concat_heads=False,
             dropout=dropout,
-            backend=backend,
             rng=rng,
         )
         self.out_dim = out_dim
@@ -217,9 +148,8 @@ class GATEncoder(GNNEncoder):
     def layerwise_plan(self, graph: Graph) -> list:
         """Per-layer numpy steps of :meth:`embed`, one chunk of targets at a time.
 
-        Consumed by :class:`repro.inference.LayerwiseInference` on both
-        backends (the dense one computes the same function).  The edge list
-        (with self loops) is grouped by destination once; each chunk then
+        Consumed by :class:`repro.inference.LayerwiseInference`.  The edge
+        list (with self loops) is grouped by destination once; each chunk then
         softmaxes and aggregates only its own incoming edges, so the per-edge
         ``E x heads x width`` message tensor is never built for the whole
         graph.  Dropout is off by construction.

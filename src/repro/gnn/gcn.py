@@ -2,39 +2,19 @@
 
 The paper's experiments use GAT, but the method is encoder-agnostic; GCN is
 provided as a lighter alternative used in tests, ablations, and the fast
-benchmark profiles.  The propagation matrix ``D^{-1/2}(A+I)D^{-1/2}`` is
-precomputed with scipy sparse and treated as a constant; only the layer
-weights receive gradients.
-
-Backends
---------
-The encoder supports two propagation backends selected by the ``backend``
-constructor argument (also reachable through
-:class:`repro.core.config.EncoderConfig` and :func:`repro.gnn.build_encoder`):
-
-``"sparse"`` (default)
-    The propagation matrix stays a ``scipy.sparse.csr_matrix`` end-to-end and
-    is applied with :func:`repro.nn.tensor.sparse_matmul`.  One
-    forward+backward pass costs O(nnz * d) FLOPs and O(N * d + nnz) memory,
-    where ``nnz`` is the number of edges incl. self loops and ``d`` the layer
-    width.  For sparse graphs (nnz ~ N * avg_degree) this is linear in N.
-
-``"dense"``
-    The propagation matrix is densified once and applied with ordinary
-    matmul: O(N^2 * d) FLOPs and O(N^2) memory.  Kept as a reference
-    implementation for parity testing and for tiny graphs where BLAS on the
-    dense matrix can win; infeasible beyond a few 10^4 nodes.
-
-Both backends compute the same function; the test suite checks forward and
-gradient agreement to 1e-8 (``tests/gnn/test_backend_parity.py``).  The
-backend selects the training forward only: :meth:`GCNEncoder.embed` runs the
-sparse layer-wise plan on both.
+benchmark profiles.  The propagation matrix ``D^{-1/2}(A+I)D^{-1/2}``
+(:meth:`repro.graphs.graph.Graph.propagation`, memoized per graph) stays a
+``scipy.sparse.csr_matrix`` end-to-end and is applied as a constant with
+:func:`repro.nn.tensor.sparse_matmul`; only the layer weights receive
+gradients.  One forward+backward pass costs O(nnz * d) FLOPs and O(N * d +
+nnz) memory, where ``nnz`` is the number of edges incl. self loops and ``d``
+the layer width.  The tests check forward and gradient agreement to 1e-8
+against a densified-propagation reference (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,9 +22,7 @@ import scipy.sparse as sp
 from ..graphs.graph import Graph
 from ..nn.layers import Dropout, Linear, Module
 from ..nn.tensor import Tensor, sparse_matmul
-from .backends import GNNEncoder, check_backend
-
-Propagation = Union[np.ndarray, sp.spmatrix]
+from .encoder import GNNEncoder
 
 
 class GCNLayer(Module):
@@ -55,13 +33,8 @@ class GCNLayer(Module):
         super().__init__()
         self.linear = Linear(in_features, out_features, rng=rng)
 
-    def forward(self, x: Tensor, propagation: Propagation) -> Tensor:
-        projected = self.linear(x)
-        if sp.issparse(propagation):
-            return sparse_matmul(propagation, projected)
-        # Dense reference path: the propagation matrix is a constant, so it
-        # participates in the graph as a non-gradient tensor.
-        return Tensor(propagation).matmul(projected)
+    def forward(self, x: Tensor, propagation: sp.spmatrix) -> Tensor:
+        return sparse_matmul(propagation, self.linear(x))
 
 
 class GCNEncoder(GNNEncoder):
@@ -73,7 +46,6 @@ class GCNEncoder(GNNEncoder):
         hidden_dim: int = 128,
         out_dim: int = 64,
         dropout: float = 0.5,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -85,31 +57,9 @@ class GCNEncoder(GNNEncoder):
         #: Message-passing depth == receptive-field hops a node's output needs
         #: (checked against ``sampling.num_hops`` by exact khop training).
         self.num_message_passing_layers = 2
-        self.backend = check_backend(backend)
-        self._cached_propagation: Optional[Propagation] = None
-        # Weak reference to the graph whose densified matrix is cached: a
-        # weakref cannot pin a large graph alive, and (unlike keying by
-        # id()) it can never mistake a fresh graph at a recycled address
-        # for the cached one.  The graph's cache_version is compared too, so
-        # the documented in-place mutation path (reassign fields +
-        # invalidate_caches()) drops this cache as well.
-        self._cached_graph: Optional[weakref.ref] = None
-        self._cached_graph_version = -1
-
-    def _propagation(self, graph: Graph) -> Propagation:
-        if self.backend == "sparse":
-            # Already memoized per graph; no encoder-level state needed.
-            self._cached_propagation = graph.propagation()
-            return self._cached_propagation
-        cached = self._cached_graph() if self._cached_graph is not None else None
-        if cached is not graph or self._cached_graph_version != graph.cache_version:
-            self._cached_propagation = graph.propagation().toarray()
-            self._cached_graph = weakref.ref(graph)
-            self._cached_graph_version = graph.cache_version
-        return self._cached_propagation
 
     def forward(self, graph: Graph) -> Tensor:
-        propagation = self._propagation(graph)
+        propagation = graph.propagation()
         x = self.dropout(Tensor(graph.features))
         hidden = self.layer1(x, propagation).relu()
         hidden = self.dropout(hidden)
@@ -119,12 +69,11 @@ class GCNEncoder(GNNEncoder):
     def layerwise_plan(self, graph: Graph) -> list:
         """Per-layer numpy steps of :meth:`embed`, one chunk of rows at a time.
 
-        Consumed by :class:`repro.inference.LayerwiseInference` on both
-        backends, always with the sparse propagation matrix (the dense
-        backend computes the same function).  Each step computes one
-        layer's output rows from the full previous-layer activations, so
-        only two layer activations (plus a chunk-sized temporary) are alive
-        and no autodiff graph is built.  Dropout is off by construction.
+        Consumed by :class:`repro.inference.LayerwiseInference`.  Each step
+        computes one layer's output rows from the full previous-layer
+        activations, so only two layer activations (plus a chunk-sized
+        temporary) are alive and no autodiff graph is built.  Dropout is off
+        by construction.
         """
         propagation = graph.propagation()
         return [
@@ -147,7 +96,7 @@ class _GCNLayerStep:
     propagation, so here it is scaled by the propagation row sums.
     """
 
-    def __init__(self, layer: GCNLayer, propagation: Propagation, relu: bool):
+    def __init__(self, layer: GCNLayer, propagation: sp.spmatrix, relu: bool):
         self.layer = layer
         self.propagation = propagation
         self.relu = relu

@@ -4,8 +4,8 @@ A :class:`GraphDelta` is the unit of change in the streaming protocol
 (:mod:`repro.streaming`): a set of new nodes (feature rows, optional labels)
 plus a set of new directed edges.  Applying one through
 :meth:`Graph.apply_delta` appends the rows/columns and bumps the graph's
-``cache_version``, so every version-keyed consumer (encoder propagation
-caches, :class:`repro.inference.EmbeddingCache`, serving snapshots) sees the
+``cache_version``, so every version-keyed consumer
+(:class:`repro.inference.EmbeddingCache`, serving snapshots) sees the
 mutation.  The incremental bookkeeping needed to refresh *only* the affected
 receptive field lives in :class:`repro.streaming.DynamicGraph`, which wraps
 the same primitive.

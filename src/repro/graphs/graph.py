@@ -77,9 +77,9 @@ class Graph:
         ``labels`` on an existing instance (see the class docstring); the
         next :meth:`adjacency` / :meth:`propagation` / :meth:`edge_csr` call
         rebuilds from the current fields.  Also bumps :attr:`cache_version`,
-        which external caches keyed on this graph (encoder propagation
-        caches, ``repro.inference.EmbeddingCache``) compare so a mutated
-        graph can never serve their stale entries.
+        which external caches keyed on this graph
+        (``repro.inference.EmbeddingCache``) compare so a mutated graph can
+        never serve their stale entries.
         """
         self._adjacency_cache = None
         self._propagation_cache = None
@@ -133,9 +133,9 @@ class Graph:
         """Symmetric normalized propagation matrix ``D^{-1/2}(A+I)D^{-1/2}``.
 
         Cached per graph so that every encoder sharing this graph reuses the
-        same CSR matrix instead of renormalizing the adjacency.  The matrix
-        is sparse by construction — densify explicitly (``.toarray()``) only
-        for the dense reference backend.
+        same CSR matrix instead of renormalizing the adjacency; the cache is
+        dropped by :meth:`invalidate_caches`.  The matrix is sparse by
+        construction.
         """
         if self._propagation_cache is None:
             from .utils import normalized_adjacency

@@ -135,8 +135,7 @@ def extract_subgraph(graph: Graph, node_ids: np.ndarray, num_seeds: int) -> Subg
     CSR adjacency in O(nnz of the selected rows), and the subgraph's
     propagation cache is pre-set to the row/column slice of the *full*
     graph's normalized propagation matrix so boundary nodes keep their
-    full-graph degrees (both the sparse and dense encoder backends read the
-    cache).
+    full-graph degrees (the GCN forward reads the cache).
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     lookup = -np.ones(graph.num_nodes, dtype=np.int64)

@@ -39,8 +39,7 @@ def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
 def normalized_adjacency(graph: Graph, add_loops: bool = True) -> sp.csr_matrix:
     """Symmetric normalized adjacency ``D^{-1/2} (A + I) D^{-1/2}`` used by GCN.
 
-    Returns a ``scipy.sparse.csr_matrix`` (O(nnz) memory); callers that need
-    the O(N^2) dense reference densify explicitly with ``.toarray()``.
+    Returns a ``scipy.sparse.csr_matrix`` (O(nnz) memory).
     """
     edge_index = graph.edge_index
     if add_loops:

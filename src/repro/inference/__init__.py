@@ -7,8 +7,8 @@ orthogonal ways:
 
 * :class:`LayerwiseInference` — the one no-grad forward of every encoder
   (``encoder.embed``): deterministic all-node embeddings computed layer by
-  layer in node chunks (GCN and GAT, one plan for both backends), never
-  building an autodiff graph; parity with the autodiff ``forward`` at 1e-8.
+  layer in node chunks (GCN and GAT), never building an autodiff graph;
+  parity with the autodiff ``forward`` at 1e-8.
 * :class:`EmbeddingCache` / :class:`ParamVersion` — reuse one embedding pass
   across pseudo-label refresh, evaluation, and prediction while the encoder
   parameters are unchanged (the version counter is bumped by every

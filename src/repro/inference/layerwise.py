@@ -15,7 +15,7 @@ entirely in numpy (no autodiff graph):
 
 The encoder contract is the duck-typed ``layerwise_plan(graph)`` method
 (implemented by :class:`repro.gnn.GCNEncoder` and
-:class:`repro.gnn.GATEncoder`, one plan for both backends), returning
+:class:`repro.gnn.GATEncoder`), returning
 ordered *steps* with::
 
     step.out_dim                       # layer output width
@@ -27,8 +27,8 @@ A step that returns a projection lets the previous layer's activations be
 released before its output is filled.
 
 Parity with the autodiff ``forward`` (in ``eval()`` under ``no_grad``) is
-tested at 1e-8 for GCN and GAT on both backends, including chunk sizes that
-do not divide ``N``, ``chunk_size=1``, and ``chunk_size > N``
+tested at 1e-8 for GCN and GAT, including chunk sizes that do not divide
+``N``, ``chunk_size=1``, and ``chunk_size > N``
 (``tests/inference/test_layerwise.py``).
 """
 

@@ -298,7 +298,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             # Skip the (potentially large) gradient product for constant
-            # operands — e.g. a dense propagation matrix multiplied against a
+            # operands — e.g. a constant N x N matrix multiplied against a
             # projected feature tensor must not allocate an N x N gradient.
             a, b = self.data, other_t.data
             if a.ndim == 2 and b.ndim == 2:

@@ -147,6 +147,27 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(restored.predict(), clf.predict())
         assert restored.config == clf.config
 
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    @pytest.mark.parametrize("method", ["openima", "orca"])
+    def test_retired_encoder_backend_still_loads(self, method, backend, tmp_path):
+        # Checkpoints from builds with a selectable message-passing backend
+        # carry this key; both backends computed the same function.
+        clf = make_classifier(method, max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        encoder = dict(clf.trainer_.config.encoder.to_dict(), backend=backend)
+        self._edit_trainer_section(tmp_path / "ckpt", encoder=encoder)
+        restored = OpenWorldClassifier.load(tmp_path / "ckpt")
+        assert np.array_equal(restored.predict(), clf.predict())
+        assert restored.config == clf.config
+
+    def test_other_unknown_encoder_keys_still_rejected(self, tmp_path):
+        clf = make_classifier(max_epochs=1).fit("citeseer", **TINY)
+        clf.save(tmp_path / "ckpt")
+        encoder = dict(clf.trainer_.config.encoder.to_dict(), backends="dense")
+        self._edit_trainer_section(tmp_path / "ckpt", encoder=encoder)
+        with pytest.raises(ValueError, match="backends"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
     def test_other_unknown_inference_keys_still_rejected(self, tmp_path):
         clf = make_classifier(max_epochs=1).fit("citeseer", **TINY)
         clf.save(tmp_path / "ckpt")

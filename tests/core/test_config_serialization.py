@@ -30,7 +30,7 @@ from repro.graphs.generators import SBMConfig
 from repro.serve.server import ServeConfig
 
 ALL_CONFIGS = [
-    EncoderConfig(kind="gcn", hidden_dim=48, backend="dense"),
+    EncoderConfig(kind="gcn", hidden_dim=48, num_heads=4),
     OptimizerConfig(learning_rate=3e-3, weight_decay=0.0),
     SamplingConfig(mode="sampled", num_hops=3, fanouts=[5, 5, 5], seed=2),
     ClusteringConfig(strategy="online", sample_size=512, warm_start=True,

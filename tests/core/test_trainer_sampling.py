@@ -12,12 +12,12 @@ from repro.core.openima import OpenIMATrainer
 
 
 def sampled_config(mode, max_epochs=3, batch_size=48, dropout=0.0, seed=0,
-                   encoder_kind="gcn", backend="sparse", fanouts=None,
+                   encoder_kind="gcn", fanouts=None,
                    sampling_seed=None):
     sampling = SamplingConfig(mode=mode, fanouts=fanouts, seed=sampling_seed)
     config = fast_config(max_epochs=max_epochs, seed=seed,
                          encoder_kind=encoder_kind, batch_size=batch_size,
-                         backend=backend, sampling=sampling)
+                         sampling=sampling)
     return config.with_updates(encoder=config.encoder.with_updates(dropout=dropout))
 
 
@@ -33,12 +33,6 @@ class TestKhopFullParity:
         np.testing.assert_allclose(history_khop.losses, history_full.losses,
                                    atol=1e-8, rtol=0)
         np.testing.assert_allclose(khop.node_embeddings(), full.node_embeddings(),
-                                   atol=1e-8, rtol=0)
-
-    def test_losses_match_with_dense_backend(self, small_dataset):
-        full = InfoNCETrainer(small_dataset, sampled_config("full", backend="dense"))
-        khop = InfoNCETrainer(small_dataset, sampled_config("khop", backend="dense"))
-        np.testing.assert_allclose(khop.fit().losses, full.fit().losses,
                                    atol=1e-8, rtol=0)
 
     def test_openima_losses_match(self, small_dataset):

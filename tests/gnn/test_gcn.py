@@ -23,7 +23,7 @@ def cycle_graph(num_nodes=8, num_features=5, seed=0):
 class TestGCNLayer:
     def test_shape_and_gradients(self):
         graph = cycle_graph()
-        propagation = normalized_adjacency(graph).toarray()
+        propagation = normalized_adjacency(graph)
         layer = GCNLayer(5, 3, rng=np.random.default_rng(0))
         out = layer(Tensor(graph.features), propagation)
         assert out.shape == (8, 3)
@@ -33,7 +33,7 @@ class TestGCNLayer:
 
     def test_propagation_mixes_neighbours(self):
         graph = cycle_graph()
-        propagation = normalized_adjacency(graph).toarray()
+        propagation = normalized_adjacency(graph)
         layer = GCNLayer(5, 5, rng=np.random.default_rng(1))
         # Using an identity weight approximation: check output depends on neighbours.
         layer.linear.weight.data = np.eye(5)
@@ -52,22 +52,39 @@ class TestGCNEncoder:
         assert embeddings.shape == (8, 4)
         assert np.isfinite(embeddings).all()
 
-    def test_propagation_cache_reused(self):
+    def test_propagation_cache_reused(self, monkeypatch):
+        import repro.graphs.utils as graph_utils
+
+        builds = []
+        build = graph_utils.normalized_adjacency
+        monkeypatch.setattr(graph_utils, "normalized_adjacency",
+                            lambda g: builds.append(g) or build(g))
         graph = cycle_graph()
         encoder = GCNEncoder(5, hidden_dim=8, out_dim=4, rng=np.random.default_rng(0))
         forward_embed(encoder, graph)
-        first_cache = encoder._cached_propagation
+        first = graph.propagation()
         forward_embed(encoder, graph)
-        assert encoder._cached_propagation is first_cache
+        assert graph.propagation() is first
+        assert builds == [graph]  # built once, by the first forward
 
     def test_cache_invalidated_for_new_graph(self):
         graph_a = cycle_graph(seed=0)
         graph_b = cycle_graph(seed=1)
         encoder = GCNEncoder(5, hidden_dim=8, out_dim=4, rng=np.random.default_rng(0))
         forward_embed(encoder, graph_a)
-        cache_a = encoder._cached_propagation
+        cache_a = graph_a.propagation()
         forward_embed(encoder, graph_b)
-        assert encoder._cached_propagation is not cache_a
+        assert graph_b.propagation() is not cache_a
+        assert graph_a.propagation() is cache_a
+
+        graph_a.edge_index = graph_a.edge_index[:, 2:]
+        graph_a.invalidate_caches()
+        rebuilt = graph_a.propagation()
+        assert rebuilt is not cache_a
+        assert rebuilt.nnz < cache_a.nnz
+        fresh = Graph(features=graph_a.features, edge_index=graph_a.edge_index)
+        np.testing.assert_allclose(forward_embed(encoder, graph_a),
+                                   forward_embed(encoder, fresh), atol=1e-12)
 
     def test_training_reduces_reconstruction_loss(self):
         graph = cycle_graph(num_nodes=12, seed=2)

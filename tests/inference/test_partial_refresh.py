@@ -17,6 +17,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
 from repro.inference.engine import InferenceEngine
 from repro.streaming import DynamicGraph
+from tests.oracle import dense_embed
 
 NUM_FEATURES = 8
 
@@ -48,13 +49,18 @@ def make_delta(graph: Graph, num_new=2, num_edges=3, seed=0) -> GraphDelta:
     )
 
 
-def make_encoder(kind: str, backend: str, seed=0):
+def make_encoder(kind: str, seed=0):
     rng = np.random.default_rng(seed)
     if kind == "gcn":
         return GCNEncoder(NUM_FEATURES, hidden_dim=16, out_dim=8,
-                          dropout=0.0, backend=backend, rng=rng)
+                          dropout=0.0, rng=rng)
     return GATEncoder(NUM_FEATURES, hidden_dim=16, out_dim=8, num_heads=2,
-                      dropout=0.0, backend=backend, rng=rng)
+                      dropout=0.0, rng=rng)
+
+
+#: A rebuilt graph's embeddings: the encoder's own pass or the dense oracle.
+REFERENCES = {"sparse": lambda encoder, graph: encoder.embed(graph),
+              "dense": dense_embed}
 
 
 def make_engine(**overrides) -> InferenceEngine:
@@ -67,10 +73,10 @@ class TestParity:
     """Partial refresh must be indistinguishable from a full recompute."""
 
     @pytest.mark.parametrize("kind", ["gcn", "gat"])
-    @pytest.mark.parametrize("backend", ["sparse", "dense"])
-    def test_matches_full_recompute(self, kind, backend):
+    @pytest.mark.parametrize("reference", list(REFERENCES))
+    def test_matches_full_recompute(self, kind, reference):
         graph = make_graph()
-        encoder = make_encoder(kind, backend)
+        encoder = make_encoder(kind)
         engine = make_engine()
         dynamic = DynamicGraph(graph, num_hops=encoder.num_message_passing_layers)
         engine.embeddings(encoder, graph)  # warm the cache
@@ -79,7 +85,7 @@ class TestParity:
             delta = make_delta(graph, seed=seed)
             reference_graph = graph.copy()
             reference_graph.apply_delta(delta)
-            expected = encoder.embed(reference_graph)
+            expected = REFERENCES[reference](encoder, reference_graph)
 
             report = dynamic.apply(delta)
             patched = engine.refresh_after_delta(encoder, graph, report)
@@ -91,7 +97,7 @@ class TestParity:
 
     def test_unaffected_rows_bit_identical(self):
         graph = make_graph(seed=3)
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         before = engine.embeddings(encoder, graph).copy()
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -130,7 +136,7 @@ class TestGeneratedDeltaSequences:
     @given(steps=DELTA_STEPS)
     def test_refresh_equals_embed_of_final_graph(self, kind, steps):
         graph = make_graph(num_nodes=40, avg_degree=3, seed=len(steps))
-        encoder = make_encoder(kind, "sparse", seed=1)
+        encoder = make_encoder(kind, seed=1)
         engine = make_engine()
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=encoder.num_message_passing_layers)
@@ -149,7 +155,7 @@ class TestGeneratedDeltaSequences:
 class TestFallbacks:
     def test_threshold_forces_full_recompute(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(partial_threshold=0.001)
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -161,7 +167,7 @@ class TestFallbacks:
 
     def test_partial_refresh_disabled_by_config(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(partial_refresh=False)
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -172,7 +178,7 @@ class TestFallbacks:
 
     def test_no_cache_falls_back_to_full(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(cache=False)
         dynamic = DynamicGraph(graph, num_hops=2)
         report = dynamic.apply(make_delta(graph))
@@ -182,7 +188,7 @@ class TestFallbacks:
     def test_stale_report_falls_back(self):
         """A report taken before a later delta no longer bounds the change."""
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -194,7 +200,7 @@ class TestFallbacks:
 
     def test_parameter_update_invalidates_patch_base(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         encoder.load_state_dict(encoder.state_dict())  # bumps param version
@@ -206,7 +212,7 @@ class TestFallbacks:
 
     def test_zero_affected_delta_rekeys_without_forward(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         cached = engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -220,7 +226,7 @@ class TestFallbacks:
 
     def test_encoder_deeper_than_report_raises(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")  # 2 message-passing layers
+        encoder = make_encoder("gcn")  # 2 message-passing layers
         engine = make_engine()
         dynamic = DynamicGraph(graph, num_hops=1)
         report = dynamic.apply(make_delta(graph))
@@ -231,7 +237,7 @@ class TestFallbacks:
 class TestStaleEntry:
     def test_returns_previous_version_entry(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         cached = engine.embeddings(encoder, graph)
         misses_before = engine.cache.misses
@@ -245,11 +251,11 @@ class TestStaleEntry:
 
     def test_none_for_different_encoder_or_graph(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         assert engine.cache.stale_entry(
-            make_encoder("gcn", "sparse", seed=1), graph) is None
+            make_encoder("gcn", seed=1), graph) is None
         assert engine.cache.stale_entry(encoder, make_graph(seed=9)) is None
 
 
@@ -257,7 +263,7 @@ class TestConcurrentReaders:
     def test_reader_keeps_consistent_predelta_view(self):
         """A thread holding the pre-delta array is never broken mid-patch."""
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         old = engine.embeddings(encoder, graph)
         baseline = old.copy()
