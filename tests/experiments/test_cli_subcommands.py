@@ -84,6 +84,14 @@ class TestRunCommand:
         result = main(TINY_RUN + ["--eval-every", "1"])
         assert len(result["evaluations"]) == 1
 
+    def test_run_dense_backend(self, capsys):
+        # The dense backend is retired: `run --backend dense` is a usage error,
+        # reported before any training starts.
+        with pytest.raises(SystemExit) as excinfo:
+            main(TINY_RUN + ["--backend", "dense"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_run_retired_encoder_backend_fails_loudly(self):
         with pytest.raises(ValueError, match=r"unknown EncoderConfig keys \['backend'\]"):
             main(TINY_RUN + ["--set", "trainer.encoder.backend=sparse"])
